@@ -266,8 +266,8 @@ let run_exn ?(pipeline = false) ?(durability = false) ?(longhaul = false)
            { Config.topo_enabled = true; topo_shards = sc.S.sc_shards }
          else Config.default_topology);
       (* Schedules are config-agnostic: the same pinned JSON replays
-         under both the classic loop and the compartmentalized pipeline
-         (DESIGN.md §12), so the corpus doubles as a pipeline corpus. *)
+         with the compartmentalized pipeline off and on (DESIGN.md
+         §12), so the corpus doubles as a pipeline corpus. *)
       pipeline =
         (if pipeline then
            { Config.default_pipeline with Config.pipe_enabled = true }

@@ -74,12 +74,14 @@ type ('req, 'resp) t = {
   resp_size : 'resp -> int;
   execute : ctx -> 'req -> 'resp;
   serial_hint : 'req -> bool;
-      (** parallel execution (Config.workers > 1) only: [true] forces
-          the request to run alone, like a barrier. Required for
-          requests whose object footprint cannot be approximated from
-          [read_set]/[write_sketch] before execution (e.g. TPCC's
-          Delivery, which follows index objects to rows chosen at run
-          time). Ignored when workers = 1. *)
+      (** pipeline on ([Config.pipeline.pipe_enabled]) only: [true]
+          forces a single-partition request to run alone on the
+          delivery loop, like a barrier, instead of concurrently on the
+          executor pool. Required for requests whose object footprint
+          cannot be approximated from [read_plan]/[write_sketch] before
+          execution (e.g. TPCC's Delivery, which follows index objects
+          to rows chosen at run time). Not consulted with the pipeline
+          off, where every request already runs alone. *)
   read_only : 'req -> bool;
       (** [true] promises the request never calls [ctx_write] (an empty
           [write_sketch] is necessary but not sufficient — this is the

@@ -23,12 +23,9 @@ type durability = {
 
 type pipeline = {
   pipe_enabled : bool;
-  pipe_batching : bool;
   pipe_batch_size : int;
   pipe_flush_timeout_ns : int;
   pipe_executors : int;
-  pipe_queue_cap : int;
-  pipe_coord_writer : bool;
 }
 
 type fast_reads = {
@@ -52,7 +49,6 @@ type t = {
   wait_phase2 : coord_wait;
   wait_phase4 : coord_wait;
   log_capacity : int;
-  workers : int;
   statesync_timeout_ns : int;
   addr_query_ns : int;
   coord_batching : bool;
@@ -86,12 +82,9 @@ let default_durability = { dur_enabled = false; dur_interval_ns = 2_000_000 }
 let default_pipeline =
   {
     pipe_enabled = false;
-    pipe_batching = true;
     pipe_batch_size = 8;
     pipe_flush_timeout_ns = 15_000;
     pipe_executors = 4;
-    pipe_queue_cap = 64;
-    pipe_coord_writer = true;
   }
 
 let default_fast_reads =
@@ -127,7 +120,6 @@ let default ~partitions ~replicas =
     wait_phase2 = Majority;
     wait_phase4 = Grace 5_000;
     log_capacity = 100_000;
-    workers = 1;
     statesync_timeout_ns = 5_000_000;
     addr_query_ns = 4_000;
     coord_batching = true;

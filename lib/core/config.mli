@@ -75,35 +75,32 @@ type durability = {
 
 type pipeline = {
   pipe_enabled : bool;
-      (** master switch for the compartmentalized replica pipeline
-          (DESIGN.md §12): client-side batcher, replica sequencer with a
-          bounded execution queue, executor-fiber pool and asynchronous
-          coordination writer. Off (the default) preserves the
-          monolithic delivery loop byte-for-byte. *)
-  pipe_batching : bool;
-      (** accumulate single-partition client requests per destination
-          partition and submit them as one multicast entry ([Replica.Batch])
-          — one Skeen round, one log replication write and one commit per
-          batch instead of per command. Multi-partition requests always
-          bypass the batcher: they barrier every destination's pipeline,
-          so queueing them for a batch window only adds latency. *)
-  pipe_batch_size : int;  (** flush a destination's batch at this many requests *)
+      (** switch for the compartmentalized replica pipeline (DESIGN.md
+          §12). On: a client-side batcher accumulates single-partition
+          requests per destination partition and submits them as one
+          multicast entry ([Replica.Batch]) — one Skeen round, one log
+          replication write and one commit per batch; the replica's
+          delivery loop admits non-conflicting single-partition requests
+          into a bounded queue drained by an executor-fiber pool; and a
+          coordination-writer fiber owns outbound Phase-2/4 announces.
+          Multi-partition requests bypass the batcher (they barrier
+          every destination's loop, so a batch window only adds
+          latency). Off (the default): no batcher, and the same delivery
+          loop executes every request inline, in delivery order — the
+          paper's single-threaded prototype. *)
+  pipe_batch_size : int;
+      (** flush a destination's batch at this many requests; must be at
+          least 1 when the pipeline is on *)
   pipe_flush_timeout_ns : int;
       (** flush an incomplete batch this many virtual ns after its first
           request arrived, bounding queueing delay at low load *)
   pipe_executors : int;
       (** executor fibers per replica draining the admitted-request
-          queue; like [workers], only non-conflicting single-partition
-          requests overlap — multi-partition requests, serial-hint
-          payloads and migrations are barriers *)
-  pipe_queue_cap : int;
-      (** bound on the sequencer→executor queue; the sequencer stalls
-          admission (backpressure into the multicast inbox) when full *)
-  pipe_coord_writer : bool;
-      (** route outbound coordination [announce] fan-outs through a
-          dedicated writer fiber so the sequencer and executors never
-          serialize on QP post charges; safe because coordination writes
-          to dead peers are dropped, never raised *)
+          queue — the multi-threaded execution of single-partition
+          requests the paper leaves as future work (Section III-D.1).
+          Only non-conflicting single-partition requests overlap;
+          multi-partition requests, serial-hint payloads and migrations
+          are barriers. Must be at least 1 when the pipeline is on. *)
 }
 
 type fast_reads = {
@@ -165,13 +162,6 @@ type t = {
   wait_phase2 : coord_wait;
   wait_phase4 : coord_wait;
   log_capacity : int;  (** update-log entries retained per replica *)
-  workers : int;
-      (** execution threads per replica for {e single-partition}
-          requests (paper Section III-D.1, left as future work there):
-          with [workers > 1] a replica executes non-conflicting
-          single-partition requests concurrently; conflicting requests
-          and multi-partition requests serialize (the latter act as
-          barriers). 1 reproduces the paper's prototype. *)
   statesync_timeout_ns : int;
       (** per-candidate timeout in donor selection (Algorithm 3); must
           exceed the worst-case transfer time or backup candidates start
@@ -189,8 +179,9 @@ type t = {
   reconfig : reconfig;
       (** live repartitioning (DESIGN.md §10); disabled by default *)
   pipeline : pipeline;
-      (** compartmentalized replica pipeline (DESIGN.md §12); disabled
-          by default *)
+      (** compartmentalized replica pipeline and concurrent execution
+          of single-partition requests (DESIGN.md §12); disabled by
+          default *)
   durability : durability;
       (** checkpointing + update-log compaction (DESIGN.md §13);
           disabled by default *)
@@ -224,8 +215,7 @@ val default_durability : durability
 
 val default_pipeline : pipeline
 (** Disabled; when [pipe_enabled] is flipped on, the defaults are
-    batching with size 8 / 15us flush, 4 executors, a 64-entry queue
-    and the asynchronous coordination writer. *)
+    batches of 8 with a 15us flush timeout and 4 executors. *)
 
 val default_fast_reads : fast_reads
 (** Disabled; when [fr_enabled] is flipped on, the defaults are a 2ms

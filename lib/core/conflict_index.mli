@@ -8,8 +8,8 @@
     live object ([Oid.t] → readers count / writer flag), making
     {!can_admit}, {!admit} and {!retire} all O(own footprint).
 
-    The caller serializes access (the dispatcher and workers are
-    cooperative fibers on one node); {!admit} must only follow a
+    The caller serializes access (the delivery loop and the executors
+    are cooperative fibers on one node); {!admit} must only follow a
     {!can_admit} that returned [true] with no intervening admits, and
     every admit must be paired with exactly one {!retire} of the same
     footprint. *)

@@ -130,7 +130,7 @@ let make_stats () =
   }
 
 (* One outbound coordination fan-out, queued to the coordination-writer
-   fiber when Config.pipeline.pipe_coord_writer is on. *)
+   fiber when the pipeline is on. *)
 type coord_job = { cj_tmp : Tstamp.t; cj_dst : int list; cj_stage : int }
 
 (* A checkpoint (DESIGN.md §13): the replica's store as of one applied
@@ -1396,12 +1396,11 @@ let send_reply r req ~tmp resp =
         req.rq_reply ~part:r.r_part resp
       with Qp.Rdma_exception _ -> ())
 
-(* {1 The main loop (Algorithm 1)} *)
+(* {1 Request execution (Algorithm 1)} *)
 
 (* Single-partition request: no coordination (Algorithm 1 lines 5-7).
-   [on_applied] marks the request fully applied (the sequential loop
-   advances the frontier directly; the parallel dispatcher goes through
-   its completion queue). *)
+   [on_applied] marks the request fully applied in the delivery loop's
+   completion queue. *)
 let exec_single r req ~tmp ~on_applied =
   let t0 = Engine.now r.r_eng in
   match execute r req ~tmp with
@@ -1580,96 +1579,30 @@ let redirect r req ~tmp =
   Heron_obs.Metrics.incr r.r_obs.ob_redirects;
   send_reply r req ~tmp (Redirect { epoch = Placement.view_epoch r.r_view })
 
-(* Record a delivery unit as covered by a state transfer (Algorithm 1
-   line 3). Batches check per slot: a transfer can cover a prefix of a
-   batch's uid range while the replica still owes the suffix. *)
-let skip_unit r ~tmp =
-  if Tstamp.(r.r_last_applied < tmp) then begin
-    r.r_last_applied <- tmp;
-    publish_applied r
-  end;
-  r.r_stats.st_skipped <- r.r_stats.st_skipped + 1;
-  Heron_obs.Metrics.incr r.r_obs.ob_skipped
+(* {1 The delivery loop (Algorithm 1, DESIGN.md §12)}
 
-let handle_req r req ~tmp ~dst =
-  if Tstamp.(tmp <= r.r_last_req) then skip_unit r ~tmp
-  else begin
-    r.r_last_req <- tmp;
-    let on_applied () =
-      if Tstamp.(r.r_last_applied < tmp) then begin
-        r.r_last_applied <- tmp;
-        publish_applied r
-      end
-    in
-    trace r ~name:"ordering" ~tmp ~start:req.rq_submitted (Engine.now r.r_eng);
-    req_span r req ~stage:"ordering" ~start:req.rq_submitted (Engine.now r.r_eng);
-    Heron_stats.Sample_set.add r.r_stats.st_ordering
-      (Engine.now r.r_eng - req.rq_submitted);
-    if stale_routed r req then begin
-      on_applied ();
-      redirect r req ~tmp
-    end
-    else
-      match dst with
-      | [ _ ] -> exec_single r req ~tmp ~on_applied
-      | dst -> exec_multi r req ~tmp ~dst ~on_applied
-  end
+   One sequencer fiber drains committed deliveries in order, expands
+   batches, and owns every per-unit decision: skips, lease grants, the
+   migration barrier, the stale-route redirect, and the barrier in
+   front of multi-partition and serial-hinted requests. The only
+   configuration-dependent choice is how an eligible single-partition
+   request runs: inline on the sequencer with the pipeline off (the
+   paper's prototype), or with it on through the conflict index into a
+   bounded queue drained by [pipe_executors] executor fibers (the
+   paper's future-work multi-threaded execution, §III-D.1), next to a
+   coordination-writer fiber owning outbound announces.
 
-let handle_mig r mg ~tmp ~dst =
-  if Tstamp.(tmp <= r.r_last_req) then begin
-    skip_unit r ~tmp;
-    notify_migration_done r mg ~tmp
-  end
-  else begin
-    r.r_last_req <- tmp;
-    let on_applied () =
-      if Tstamp.(r.r_last_applied < tmp) then begin
-        r.r_last_applied <- tmp;
-        publish_applied r
-      end
-    in
-    exec_migration r mg ~tmp ~dst ~on_applied
-  end
-
-(* A lease grant is replicated state like any command: advance the
-   delivery frontier past it and install the entry, deterministically
-   at its position of the order. It advances the applied frontier too
-   (like a skip unit) — commit-waits and donor snapshots must not
-   stall on a unit that mutates nothing in the store. *)
-let handle_lease r g ~tmp =
-  if Tstamp.(tmp <= r.r_last_req) then skip_unit r ~tmp
-  else begin
-    r.r_last_req <- tmp;
-    Read_lease.apply_grant r.r_lease ~idx:g.lg_idx ~incarnation:g.lg_incarnation
-      ~expiry_ns:g.lg_expiry_ns ~at:tmp;
-    if Tstamp.(r.r_last_applied < tmp) then begin
-      r.r_last_applied <- tmp;
-      publish_applied r
-    end
-  end
-
-let handle_delivery r (dv : ('req, 'resp) msg Ramcast.delivery) =
-  let dst = dv.Ramcast.d_dst in
-  match dv.Ramcast.d_payload with
-  | Req req -> handle_req r req ~tmp:dv.Ramcast.d_tmp ~dst
-  | Migrate mg -> handle_mig r mg ~tmp:dv.Ramcast.d_tmp ~dst
-  | Lease g -> handle_lease r g ~tmp:dv.Ramcast.d_tmp
-  | Batch reqs ->
-      Array.iteri
-        (fun i req -> handle_req r req ~tmp:(batch_slot_tmp dv.Ramcast.d_tmp i) ~dst)
-        reqs
-
-(* {1 Parallel execution of single-partition requests (Section III-D.1)}
-
-   The paper leaves multi-threaded execution as future work and sketches
-   the standard recipe: run requests that do not conflict (no common
-   objects, or only common reads) on different worker threads;
-   everything else keeps its delivery order. Multi-partition requests
-   act as barriers. Object footprints come from the application's read
-   plan and write sketch; the write sketch must contain an object that
-   serialises any two requests whose dynamically created objects could
-   collide (TPCC's district row plays that role for order-id
-   allocation). *)
+   Executors finish out of order, so [r_last_applied] advances through
+   a completion queue, only over a prefix of the delivery order: a
+   state-transfer donor snapshots a request boundary. Barriers exist
+   because concurrent Phase-2/4 announcements from different executors
+   could regress a replica's single coordination slot (peers rely on
+   slot monotonicity), and because a migration must observe a frozen
+   pool so the Phase-2 cut it fixes is request-boundary consistent.
+   Footprints come from the application's read plan and write sketch;
+   the write sketch must contain an object that serialises any two
+   requests whose dynamically created objects could collide (TPCC's
+   district row plays that role for order-id allocation). *)
 
 let footprint_of r req =
   let writes =
@@ -1684,179 +1617,20 @@ let footprint_of r req =
     ~reads:(r.r_app.App.read_plan ~part:r.r_part req.rq_payload)
     ~writes
 
-let parallel_loop r =
-  let workers = r.r_cfg.Config.workers in
-  let cidx = Conflict_index.create () in
-  Conflict_index.attach_metrics cidx r.r_cfg.Config.metrics;
-  let blocked_ctr =
-    Heron_obs.Metrics.counter r.r_cfg.Config.metrics "sched.conflict_blocked"
-  in
-  let inflight = ref 0 in
-  let done_sig = Signal.create () in
-  (* Completion queue: r_last_applied only advances over a prefix of the
-     delivery order, even though workers finish out of order — the
-     state-transfer donor needs a request-boundary-consistent view. *)
-  let order : Tstamp.t Queue.t = Queue.create () in
-  let completed : (Tstamp.t, unit) Hashtbl.t = Hashtbl.create 16 in
-  let advance_frontier () =
-    let before = r.r_last_applied in
-    let rec go () =
-      match Queue.peek_opt order with
-      | Some tmp when Hashtbl.mem completed tmp ->
-          Hashtbl.remove completed tmp;
-          ignore (Queue.pop order);
-          if Tstamp.(r.r_last_applied < tmp) then r.r_last_applied <- tmp;
-          go ()
-      | Some _ | None -> ()
-    in
-    go ();
-    (* One lease publish per batch of completions, after the queue
-       state is settled (publishing may suspend). *)
-    if Tstamp.(before < r.r_last_applied) then publish_applied r
-  in
-  let mark_applied tmp () =
-    Hashtbl.replace completed tmp ();
-    advance_frontier ()
-  in
-  let skip tmp mg_opt =
-    Queue.push tmp order;
-    mark_applied tmp ();
-    r.r_stats.st_skipped <- r.r_stats.st_skipped + 1;
-    Heron_obs.Metrics.incr r.r_obs.ob_skipped;
-    match mg_opt with Some mg -> notify_migration_done r mg ~tmp | None -> ()
-  in
-  let sequence_req tmp dst req =
-    if Tstamp.(tmp <= r.r_last_req) then skip tmp None
-    else begin
-      r.r_last_req <- tmp;
-      req_span r req ~stage:"ordering" ~start:req.rq_submitted
-        (Engine.now r.r_eng);
-      Heron_stats.Sample_set.add r.r_stats.st_ordering
-        (Engine.now r.r_eng - req.rq_submitted);
-      (* Routing decision before any suspension point: admission
-         waits must not let a concurrently adopted placement view
-         change the verdict peers reached at this position of the
-         order. *)
-      if stale_routed r req then begin
-        Queue.push tmp order;
-        mark_applied tmp ();
-        redirect r req ~tmp
-      end
-      else
-        match dst with
-        | [ _ ] when not (r.r_app.App.serial_hint req.rq_payload) ->
-            let fp = footprint_of r req in
-            (* Admission: capacity first (O(1)), then the conflict index
-               — O(own footprint) regardless of how many requests are in
-               flight. A blocked request re-checks once per completion
-               (the only event that can unblock it), never spinning over
-               the in-flight set. *)
-            let blocked = ref false in
-            let adm0 = Engine.now r.r_eng in
-            Signal.wait_until done_sig (fun () ->
-                let ok = !inflight < workers && Conflict_index.can_admit cidx fp in
-                if not ok then blocked := true;
-                ok);
-            if !blocked then begin
-              Heron_obs.Metrics.incr blocked_ctr;
-              req_span r req ~stage:"conflict-wait" ~start:adm0
-                (Engine.now r.r_eng)
-            end;
-            Conflict_index.admit cidx fp;
-            incr inflight;
-            Queue.push tmp order;
-            Fabric.spawn_on r.r_node (fun () ->
-                exec_single r req ~tmp ~on_applied:(mark_applied tmp);
-                Conflict_index.retire cidx fp;
-                decr inflight;
-                Signal.broadcast done_sig)
-        | dst ->
-            (* Barrier: multi-partition and serial-hinted requests run
-               alone. *)
-            Signal.wait_until done_sig (fun () -> !inflight = 0);
-            Queue.push tmp order;
-            (match dst with
-            | [ _ ] -> exec_single r req ~tmp ~on_applied:(mark_applied tmp)
-            | _ -> exec_multi r req ~tmp ~dst ~on_applied:(mark_applied tmp))
-    end
-  in
-  let rec loop () =
-    let dv = Mailbox.recv r.r_inbox in
-    let tmp = dv.Ramcast.d_tmp in
-    (match dv.Ramcast.d_payload with
-    | Migrate mg ->
-        if Tstamp.(tmp <= r.r_last_req) then skip tmp (Some mg)
-        else begin
-          r.r_last_req <- tmp;
-          (* Migrations act as barriers, like multi-partition
-             requests. *)
-          Signal.wait_until done_sig (fun () -> !inflight = 0);
-          Queue.push tmp order;
-          exec_migration r mg ~tmp ~dst:dv.Ramcast.d_dst
-            ~on_applied:(mark_applied tmp)
-        end
-    | Lease g ->
-        if Tstamp.(tmp <= r.r_last_req) then skip tmp None
-        else begin
-          r.r_last_req <- tmp;
-          Read_lease.apply_grant r.r_lease ~idx:g.lg_idx
-            ~incarnation:g.lg_incarnation ~expiry_ns:g.lg_expiry_ns ~at:tmp;
-          (* Advances the frontier like a skip unit: nothing to
-             execute, but commit-waits must not stall on it. *)
-          Queue.push tmp order;
-          mark_applied tmp ()
-        end
-    | Req req -> sequence_req tmp dv.Ramcast.d_dst req
-    | Batch reqs ->
-        Array.iteri
-          (fun i req -> sequence_req (batch_slot_tmp tmp i) dv.Ramcast.d_dst req)
-          reqs);
-    loop ()
-  in
-  loop ()
-
-(* {1 Compartmentalized pipeline (DESIGN.md §12)}
-
-   The delivery path split into stages connected by bounded queues: the
-   {e sequencer} (this loop) drains committed deliveries in order,
-   expands batches and admits non-conflicting single-partition requests
-   into a bounded execution queue; a pool of {e executor} fibers drains
-   that queue concurrently; the {e coordination writer} (spawned here,
-   see [coord_writer_loop]) owns outbound announce traffic. The
-   [order]/[completed] frontier is the same as [parallel_loop]'s:
-   [r_last_applied] only advances over a prefix of the delivery order no
-   matter how executors interleave. Multi-partition requests,
-   serial-hinted payloads and migrations remain barriers — concurrent
-   Phase-2/4 announcements from different executors could regress a
-   replica's single coordination slot (peers rely on slot monotonicity),
-   and a migration must observe a frozen executor pool so the Phase-2
-   cut it fixes is request-boundary consistent. *)
-
 type exec_job = {
   ej_tmp : Tstamp.t;
   ej_fp : Conflict_index.footprint;
   ej_enq : Time_ns.t;  (* admission instant, for exec.queue spans *)
 }
 
-let pipeline_loop r =
-  let pl = r.r_cfg.Config.pipeline in
-  let reg = r.r_cfg.Config.metrics in
-  let qcap = max 1 pl.Config.pipe_queue_cap in
-  let cidx = Conflict_index.create () in
-  Conflict_index.attach_metrics cidx reg;
-  let blocked_ctr = Heron_obs.Metrics.counter reg "sched.conflict_blocked" in
-  let q_depth = Heron_obs.Metrics.histogram reg "pipeline.exec_queue_depth" in
-  let q_wait = Heron_obs.Metrics.histogram reg "pipeline.exec_queue_wait_ns" in
-  if pl.Config.pipe_coord_writer then begin
-    let mb = Mailbox.create () in
-    r.r_coord_mb <- Some mb;
-    Fabric.spawn_on r.r_node (fun () -> coord_writer_loop r mb)
-  end;
+(* Bound on the sequencer→executor queue: the sequencer stalls admission
+   (backpressure into the multicast inbox) when it is full. *)
+let exec_queue_cap = 64
+
+let delivery_loop r =
   let inflight = ref 0 in
   (* admitted (queued or executing) jobs; barriers wait for 0 *)
   let done_sig = Signal.create () in
-  let job_sig = Signal.create () in
-  let jobs = Queue.create () in
   let order : Tstamp.t Queue.t = Queue.create () in
   let completed : (Tstamp.t, unit) Hashtbl.t = Hashtbl.create 16 in
   let advance_frontier () =
@@ -1879,82 +1653,119 @@ let pipeline_loop r =
     Hashtbl.replace completed tmp ();
     advance_frontier ()
   in
-  let executor () =
-    let rec run () =
-      Signal.wait_until job_sig (fun () -> not (Queue.is_empty jobs));
-      let req, j = Queue.pop jobs in
-      (* A queue slot freed: the sequencer may be blocked on capacity. *)
-      Signal.broadcast done_sig;
-      let t_deq = Engine.now r.r_eng in
-      Heron_obs.Metrics.observe q_wait (t_deq - j.ej_enq);
-      if t_deq > j.ej_enq then
-        req_span r req ~stage:"exec.queue" ~start:j.ej_enq t_deq;
-      exec_single r req ~tmp:j.ej_tmp ~on_applied:(mark_applied j.ej_tmp);
-      Conflict_index.retire cidx j.ej_fp;
-      decr inflight;
-      Signal.broadcast done_sig;
-      run ()
-    in
-    run ()
-  in
-  for _ = 1 to max 1 pl.Config.pipe_executors do
-    Fabric.spawn_on r.r_node executor
-  done;
-  let skip tmp mg_opt =
-    Queue.push tmp order;
-    mark_applied tmp ();
-    r.r_stats.st_skipped <- r.r_stats.st_skipped + 1;
-    Heron_obs.Metrics.incr r.r_obs.ob_skipped;
-    match mg_opt with Some mg -> notify_migration_done r mg ~tmp | None -> ()
+  (* Pipeline on: spawn the coordination writer and the executor pool,
+     and return the admission step for eligible single-partition
+     requests. *)
+  let admit =
+    if not r.r_cfg.Config.pipeline.Config.pipe_enabled then None
+    else begin
+      let reg = r.r_cfg.Config.metrics in
+      let cidx = Conflict_index.create () in
+      Conflict_index.attach_metrics cidx reg;
+      let blocked_ctr = Heron_obs.Metrics.counter reg "sched.conflict_blocked" in
+      let q_depth = Heron_obs.Metrics.histogram reg "pipeline.exec_queue_depth" in
+      let q_wait = Heron_obs.Metrics.histogram reg "pipeline.exec_queue_wait_ns" in
+      let mb = Mailbox.create () in
+      r.r_coord_mb <- Some mb;
+      Fabric.spawn_on r.r_node (fun () -> coord_writer_loop r mb);
+      let job_sig = Signal.create () in
+      let jobs = Queue.create () in
+      let executor () =
+        let rec run () =
+          Signal.wait_until job_sig (fun () -> not (Queue.is_empty jobs));
+          let req, j = Queue.pop jobs in
+          (* A queue slot freed: the sequencer may be blocked on capacity. *)
+          Signal.broadcast done_sig;
+          let t_deq = Engine.now r.r_eng in
+          Heron_obs.Metrics.observe q_wait (t_deq - j.ej_enq);
+          if t_deq > j.ej_enq then
+            req_span r req ~stage:"exec.queue" ~start:j.ej_enq t_deq;
+          exec_single r req ~tmp:j.ej_tmp ~on_applied:(mark_applied j.ej_tmp);
+          Conflict_index.retire cidx j.ej_fp;
+          decr inflight;
+          Signal.broadcast done_sig;
+          run ()
+        in
+        run ()
+      in
+      for _ = 1 to r.r_cfg.Config.pipeline.Config.pipe_executors do
+        Fabric.spawn_on r.r_node executor
+      done;
+      Some
+        (fun req ~tmp ->
+          let fp = footprint_of r req in
+          (* Admission: queue capacity (backpressure into the multicast
+             inbox), then the conflict index — O(own footprint)
+             regardless of how many requests are in flight. A blocked
+             request re-checks once per completion or dequeue (the only
+             events that can unblock it). Executor concurrency is
+             bounded by the pool size itself. *)
+          let blocked = ref false in
+          let adm0 = Engine.now r.r_eng in
+          Signal.wait_until done_sig (fun () ->
+              let ok =
+                Queue.length jobs < exec_queue_cap && Conflict_index.can_admit cidx fp
+              in
+              if not ok then blocked := true;
+              ok);
+          if !blocked then begin
+            Heron_obs.Metrics.incr blocked_ctr;
+            req_span r req ~stage:"conflict-wait" ~start:adm0 (Engine.now r.r_eng)
+          end;
+          Conflict_index.admit cidx fp;
+          incr inflight;
+          Queue.push tmp order;
+          Queue.push
+            (req, { ej_tmp = tmp; ej_fp = fp; ej_enq = Engine.now r.r_eng })
+            jobs;
+          Heron_obs.Metrics.observe q_depth (Queue.length jobs);
+          Signal.broadcast job_sig)
+    end
   in
   let barrier () = Signal.wait_until done_sig (fun () -> !inflight = 0) in
-  let sequence_req tmp dst req =
-    if Tstamp.(tmp <= r.r_last_req) then skip tmp None
+  (* A unit with nothing left to execute. *)
+  let settle tmp =
+    Queue.push tmp order;
+    mark_applied tmp ()
+  in
+  (* A unit at or below [r_last_req] was covered by a state transfer
+     (Algorithm 1 line 3) and is skipped; otherwise it becomes the
+     newest delivered unit. Batches check per slot: a transfer can cover
+     a prefix of a batch's uid range while the replica still owes the
+     suffix. *)
+  let fresh tmp =
+    if Tstamp.(tmp <= r.r_last_req) then begin
+      settle tmp;
+      r.r_stats.st_skipped <- r.r_stats.st_skipped + 1;
+      Heron_obs.Metrics.incr r.r_obs.ob_skipped;
+      false
+    end
     else begin
       r.r_last_req <- tmp;
-      req_span r req ~stage:"ordering" ~start:req.rq_submitted
-        (Engine.now r.r_eng);
+      true
+    end
+  in
+  let sequence_req tmp dst req =
+    if fresh tmp then begin
+      trace r ~name:"ordering" ~tmp ~start:req.rq_submitted (Engine.now r.r_eng);
+      req_span r req ~stage:"ordering" ~start:req.rq_submitted (Engine.now r.r_eng);
       Heron_stats.Sample_set.add r.r_stats.st_ordering
         (Engine.now r.r_eng - req.rq_submitted);
-      (* Routing decision before any suspension point, as in
-         [parallel_loop]. *)
+      (* Routing decision before any suspension point: admission waits
+         must not let a concurrently adopted placement view change the
+         verdict peers reached at this position of the order. *)
       if stale_routed r req then begin
-        Queue.push tmp order;
-        mark_applied tmp ();
+        settle tmp;
         redirect r req ~tmp
       end
       else
-        match dst with
-        | [ _ ] when not (r.r_app.App.serial_hint req.rq_payload) ->
-            let fp = footprint_of r req in
-            (* Admission: queue capacity (backpressure into the
-               multicast inbox), then the conflict index. Executor
-               concurrency is bounded by the pool size itself. *)
-            let blocked = ref false in
-            let adm0 = Engine.now r.r_eng in
-            Signal.wait_until done_sig (fun () ->
-                let ok =
-                  Queue.length jobs < qcap && Conflict_index.can_admit cidx fp
-                in
-                if not ok then blocked := true;
-                ok);
-            if !blocked then begin
-              Heron_obs.Metrics.incr blocked_ctr;
-              req_span r req ~stage:"conflict-wait" ~start:adm0
-                (Engine.now r.r_eng)
-            end;
-            Conflict_index.admit cidx fp;
-            incr inflight;
-            Queue.push tmp order;
-            Queue.push
-              (req, { ej_tmp = tmp; ej_fp = fp; ej_enq = Engine.now r.r_eng })
-              jobs;
-            Heron_obs.Metrics.observe q_depth (Queue.length jobs);
-            Signal.broadcast job_sig
-        | dst ->
+        match (dst, admit) with
+        | [ _ ], Some admit when not (r.r_app.App.serial_hint req.rq_payload) ->
+            admit req ~tmp
+        | _ -> (
             barrier ();
             Queue.push tmp order;
-            (match dst with
+            match dst with
             | [ _ ] -> exec_single r req ~tmp ~on_applied:(mark_applied tmp)
             | _ -> exec_multi r req ~tmp ~dst ~on_applied:(mark_applied tmp))
     end
@@ -1964,9 +1775,7 @@ let pipeline_loop r =
     let tmp = dv.Ramcast.d_tmp in
     (match dv.Ramcast.d_payload with
     | Migrate mg ->
-        if Tstamp.(tmp <= r.r_last_req) then skip tmp (Some mg)
-        else begin
-          r.r_last_req <- tmp;
+        if fresh tmp then begin
           (* Migration freeze: drain the executor pool before fixing the
              Phase-2 cut. *)
           barrier ();
@@ -1974,16 +1783,15 @@ let pipeline_loop r =
           exec_migration r mg ~tmp ~dst:dv.Ramcast.d_dst
             ~on_applied:(mark_applied tmp)
         end
+        else notify_migration_done r mg ~tmp
     | Lease g ->
-        if Tstamp.(tmp <= r.r_last_req) then skip tmp None
-        else begin
-          r.r_last_req <- tmp;
+        if fresh tmp then begin
+          (* A grant is replicated state like any command, installed at
+             its position of the order. Nothing to execute, but
+             commit-waits and donor snapshots must not stall on it. *)
           Read_lease.apply_grant r.r_lease ~idx:g.lg_idx
             ~incarnation:g.lg_incarnation ~expiry_ns:g.lg_expiry_ns ~at:tmp;
-          (* Advances the frontier like a skip unit: nothing to
-             execute, but commit-waits must not stall on it. *)
-          Queue.push tmp order;
-          mark_applied tmp ()
+          settle tmp
         end
     | Req req -> sequence_req tmp dv.Ramcast.d_dst req
     | Batch reqs ->
@@ -2107,19 +1915,7 @@ let try_serve_read r payload =
 let start r =
   if Array.length r.r_peers = 0 then
     invalid_arg "Replica.start: set_directory must be called first";
-  if r.r_cfg.Config.workers < 1 then
-    invalid_arg "Replica.start: workers must be at least 1";
-  Fabric.spawn_on r.r_node (fun () ->
-      if r.r_cfg.Config.pipeline.Config.pipe_enabled then pipeline_loop r
-      else if r.r_cfg.Config.workers = 1 then begin
-        let rec loop () =
-          let dv = Mailbox.recv r.r_inbox in
-          handle_delivery r dv;
-          loop ()
-        in
-        loop ()
-      end
-      else parallel_loop r);
+  Fabric.spawn_on r.r_node (fun () -> delivery_loop r);
   Fabric.spawn_on r.r_node (fun () -> statesync_watcher r);
   if r.r_cfg.Config.durability.Config.dur_enabled then
     Fabric.spawn_on r.r_node (fun () -> checkpoint_loop r)

@@ -105,6 +105,15 @@ let load_partition_catalog ~specs ~part ?shards store =
     specs
 
 let create eng ~cfg ~app =
+  (let pl = cfg.Config.pipeline in
+   if pl.Config.pipe_enabled then begin
+     (* Zero executors would never drain an admitted request, and a
+        batch size below 1 never triggers a size flush. *)
+     if pl.Config.pipe_executors < 1 then
+       invalid_arg "System.create: pipeline.pipe_executors must be at least 1";
+     if pl.Config.pipe_batch_size < 1 then
+       invalid_arg "System.create: pipeline.pipe_batch_size must be at least 1"
+   end);
   let fab = Fabric.create ~metrics:cfg.Config.metrics eng ~profile:cfg.Config.profile in
   let specs = app.App.catalog () in
   if cfg.Config.topology.Config.topo_enabled then begin
@@ -195,8 +204,7 @@ let create eng ~cfg ~app =
   if cfg.Config.reconfig.Config.enabled then
     Placement.attach_metrics sys_dir cfg.Config.metrics;
   let sys_batcher =
-    let pl = cfg.Config.pipeline in
-    if pl.Config.pipe_enabled && pl.Config.pipe_batching then begin
+    if cfg.Config.pipeline.Config.pipe_enabled then begin
       let reg = cfg.Config.metrics in
       Some
         {

@@ -24,7 +24,9 @@ val create :
   Engine.t -> cfg:Config.t -> app:('req, 'resp) App.t -> ('req, 'resp) t
 (** Build the deployment and load the application catalog into every
     replica's store. Replicated objects are installed in every
-    partition; partitioned objects in their home partition only. *)
+    partition; partitioned objects in their home partition only.
+    Raises [Invalid_argument] when the pipeline is on with
+    [pipe_executors < 1] or [pipe_batch_size < 1]. *)
 
 val start : ('req, 'resp) t -> unit
 (** Spawn the multicast and replica processes. *)

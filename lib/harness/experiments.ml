@@ -511,14 +511,22 @@ let ablation_parallel ?(quick = false) () =
     Table.make
       ~title:
         "Ablation: multi-threaded execution of single-partition requests (2 WH, local TPCC)"
-      ~headers:[ "workers"; "throughput (tps)"; "avg lat (us)"; "p95 lat (us)" ]
+      ~headers:[ "executors"; "throughput (tps)"; "avg lat (us)"; "p95 lat (us)" ]
   in
   let scale = Scale.bench ~warehouses:2 in
+  (* [None] is the pipeline off: every request inline on the delivery
+     loop, the paper's prototype. *)
   List.iter
-    (fun workers ->
+    (fun executors ->
+      let pipeline =
+        match executors with
+        | None -> Config.default_pipeline
+        | Some n ->
+            { Config.default_pipeline with Config.pipe_enabled = true; pipe_executors = n }
+      in
       let sys =
         Driver.heron_tpcc_system ~scale
-          ~cfg_tweak:(fun c -> { c with Config.workers })
+          ~cfg_tweak:(fun c -> { c with Config.pipeline })
           ()
       in
       let rs =
@@ -531,12 +539,12 @@ let ablation_parallel ?(quick = false) () =
       in
       Table.add_row table
         [
-          string_of_int workers;
+          (match executors with None -> "off" | Some n -> string_of_int n);
           Printf.sprintf "%.0f" rs.Driver.rs_throughput_tps;
           us_mean rs.Driver.rs_latency;
           Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 95.);
         ])
-    [ 1; 2; 4; 8 ];
+    [ None; Some 1; Some 2; Some 4; Some 8 ];
   table
 
 (* {1 Coordination doorbell-batching ablation (extension)} *)
@@ -565,7 +573,6 @@ let ablation_coord_batching ?(quick = false) () =
       ~headers:
         [
           "coord batching";
-          "workers";
           "clients";
           "tput (ktps)";
           "p50 (us)";
@@ -576,40 +583,36 @@ let ablation_coord_batching ?(quick = false) () =
   List.iter
     (fun coord_batching ->
       List.iter
-        (fun workers ->
-          List.iter
-            (fun clients ->
-              let reg = Heron_obs.Metrics.create () in
-              let eng = Engine.create ~seed:8 () in
-              let cfg =
-                let c = Config.default ~partitions:2 ~replicas:3 in
-                { c with Config.coord_batching; workers; metrics = reg }
-              in
-              let sys = System.create eng ~cfg ~app:Driver.null_app in
-              System.start sys;
-              let rs =
-                Driver.run_system
-                  ~warmup:(Time_ns.ms (if quick then 2 else 5))
-                  ~measure:(Time_ns.ms (if quick then 8 else 20))
-                  ~sys ~clients
-                  ~gen:(fun ~client rng ->
-                    ignore client;
-                    ignore rng;
-                    ({ Driver.nr_dst = []; nr_bytes = 200 }, Some [ 0; 1 ]))
-                  ()
-              in
-              Table.add_row table
-                [
-                  (if coord_batching then "on" else "off");
-                  string_of_int workers;
-                  string_of_int clients;
-                  kt rs.Driver.rs_throughput_tps;
-                  Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 50.);
-                  Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 99.);
-                  string_of_int (write_post_charges reg);
-                ])
-            (if quick then [ 2 ] else [ 2; 16 ]))
-        (if quick then [ 1 ] else [ 1; 4 ]))
+        (fun clients ->
+          let reg = Heron_obs.Metrics.create () in
+          let eng = Engine.create ~seed:8 () in
+          let cfg =
+            let c = Config.default ~partitions:2 ~replicas:3 in
+            { c with Config.coord_batching; metrics = reg }
+          in
+          let sys = System.create eng ~cfg ~app:Driver.null_app in
+          System.start sys;
+          let rs =
+            Driver.run_system
+              ~warmup:(Time_ns.ms (if quick then 2 else 5))
+              ~measure:(Time_ns.ms (if quick then 8 else 20))
+              ~sys ~clients
+              ~gen:(fun ~client rng ->
+                ignore client;
+                ignore rng;
+                ({ Driver.nr_dst = []; nr_bytes = 200 }, Some [ 0; 1 ]))
+              ()
+          in
+          Table.add_row table
+            [
+              (if coord_batching then "on" else "off");
+              string_of_int clients;
+              kt rs.Driver.rs_throughput_tps;
+              Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 50.);
+              Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 99.);
+              string_of_int (write_post_charges reg);
+            ])
+        (if quick then [ 2 ] else [ 2; 16 ]))
     [ false; true ];
   table
 

@@ -42,9 +42,9 @@ val ablation_grace : ?quick:bool -> unit -> Table.t
 
 val ablation_parallel : ?quick:bool -> unit -> Table.t
 (** Extension of Section III-D.1 (the paper's future work): throughput
-    and latency of local TPCC as the number of execution workers per
-    replica grows; non-conflicting single-partition requests execute
-    concurrently. *)
+    and latency of local TPCC with the pipeline off, then on with 1, 2,
+    4 and 8 executors per replica; non-conflicting single-partition
+    requests execute concurrently. *)
 
 val ablation_batching : ?quick:bool -> unit -> Table.t
 (** Extension: replication batching in the multicast layer (RamCast
@@ -60,9 +60,8 @@ val ablation_coord_batching : ?quick:bool -> unit -> Table.t
 (** Extension: doorbell-batched coordination writes (Qp.Doorbell via
     [Config.coord_batching]) on an all-multi-partition null workload —
     throughput, p50/p99 latency and total [rdma.verb.count
-    {verb="write_post"}] doorbell charges, with batching on and off at
-    1 and 4 workers. EXPERIMENTS.md records the measured fan-out
-    reduction. *)
+    {verb="write_post"}] doorbell charges, with batching on and off.
+    EXPERIMENTS.md records the measured fan-out reduction. *)
 
 val micro_kv : ?quick:bool -> unit -> Table.t * Table.t
 (** Extension: key-value microbenchmarks in the style of the

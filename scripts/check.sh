@@ -5,9 +5,12 @@
 #   ./scripts/check.sh
 #   ARTIFACTS=artifacts ./scripts/check.sh   # keep the JSON outputs
 #
-# With ARTIFACTS set, the metrics dump and trace files are written
-# there (and kept) instead of into throwaway tempfiles — CI uploads
-# that directory as the workflow artifact.
+# With ARTIFACTS set, the metrics dump, trace files and bench-smoke
+# BENCH_*.json files are written there (and kept) instead of into a
+# throwaway directory — CI uploads that directory as the workflow
+# artifact. Either way the working tree is left as it was: the
+# committed BENCH_*.json files in the repository root are full-mode
+# runs and the quick smokes here must not overwrite them.
 #
 # Exits non-zero on the first failure.
 set -eu
@@ -23,17 +26,23 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+root=$(pwd)
 if [ -n "${ARTIFACTS:-}" ]; then
   mkdir -p "$ARTIFACTS"
-  metrics="$ARTIFACTS/bench_smoke_metrics.json"
-  trace="$ARTIFACTS/probe_trace.json"
-  bench_trace="$ARTIFACTS/bench_coord_trace.json"
+  out=$(cd "$ARTIFACTS" && pwd)
 else
-  metrics=$(mktemp /tmp/heron_metrics.XXXXXX.json)
-  trace=$(mktemp /tmp/heron_trace.XXXXXX.json)
-  bench_trace=$(mktemp /tmp/heron_bench_trace.XXXXXX.json)
-  trap 'rm -f "$metrics" "$trace" "$bench_trace"' EXIT
+  out=$(mktemp -d /tmp/heron_check.XXXXXX)
+  trap 'rm -rf "$out"' EXIT
 fi
+metrics="$out/bench_smoke_metrics.json"
+trace="$out/probe_trace.json"
+bench_trace="$out/bench_coord_trace.json"
+
+# The bench writes BENCH_<name>.json into its working directory: run it
+# inside $out.
+bench() {
+  (cd "$out" && dune exec --root "$root" --no-print-directory bench/main.exe -- "$@")
+}
 
 echo "== bench --metrics =="
 dune exec bench/main.exe -- fig8 quick --metrics "$metrics" > /dev/null
@@ -72,6 +81,9 @@ echo "== reconfig chaos sweep =="
 # Live-repartitioning schedules: migrations timed into crash/restart
 # windows (DESIGN.md §10), same shrink-and-pin flow.
 dune exec bin/probe.exe -- chaos --seeds 0..99 --reconfig --shrink --corpus test/corpus
+# Migrate barriers against the executor pool: the only place the two
+# meet.
+dune exec bin/probe.exe -- chaos --seeds 0..100 --reconfig --pipeline --shrink --corpus test/corpus
 
 echo "== elastic chaos sweep =="
 # Elastic topology schedules (DESIGN.md §15): shard splits and merges
@@ -80,6 +92,7 @@ echo "== elastic chaos sweep =="
 # shrink-and-pin flow; elastic pins carry their topology in the
 # schedule JSON, so the corpus replays above already exercise them.
 dune exec bin/probe.exe -- chaos --seeds 0..100 --elastic --shrink --corpus test/corpus
+dune exec bin/probe.exe -- chaos --seeds 0..100 --elastic --pipeline --shrink --corpus test/corpus
 
 echo "== longhaul chaos smoke =="
 # Long-horizon durability schedules (DESIGN.md §13): minutes of virtual
@@ -96,8 +109,8 @@ echo "== bench coord smoke =="
 # Quick coordination bench: multi-partition p50/p99 latency,
 # single-partition throughput, doorbell charges and the per-stage
 # critical-path breakdown (DESIGN.md §11) -> BENCH_coord.json.
-dune exec bench/main.exe -- quick coord --breakdown --trace "$bench_trace"
-dune exec bin/probe.exe -- jsonlint BENCH_coord.json
+bench quick coord --breakdown --trace "$bench_trace"
+dune exec bin/probe.exe -- jsonlint "$out/BENCH_coord.json"
 dune exec bin/probe.exe -- jsonlint "$bench_trace"
 dune exec bin/probe.exe -- explain "$bench_trace" --top 1 > /dev/null
 
@@ -106,9 +119,9 @@ echo "== bench pipeline smoke =="
 # BENCH_pipeline.json; then the deterministic regression guard — the
 # sim is bit-exact per seed, so the committed quick-mode baseline
 # admits an exact >10%-drop check on throughput.
-dune exec bench/main.exe -- quick pipeline
-dune exec bin/probe.exe -- jsonlint BENCH_pipeline.json
-dune exec bin/probe.exe -- benchguard BENCH_pipeline.json \
+bench quick pipeline
+dune exec bin/probe.exe -- jsonlint "$out/BENCH_pipeline.json"
+dune exec bin/probe.exe -- benchguard "$out/BENCH_pipeline.json" \
   scripts/bench_pipeline_baseline.json \
   --keys best_pipeline_tput_tps,off_tput_tps --max-regression-pct 10
 
@@ -116,9 +129,9 @@ echo "== bench reads smoke =="
 # Fast-read ablation: YCSB A/B/C x fast_reads on/off plus write and
 # scan probes -> BENCH_reads.json. The guard holds the lease-served
 # YCSB-C read throughput against the committed quick-mode baseline.
-dune exec bench/main.exe -- quick reads --breakdown
-dune exec bin/probe.exe -- jsonlint BENCH_reads.json
-dune exec bin/probe.exe -- benchguard BENCH_reads.json \
+bench quick reads --breakdown
+dune exec bin/probe.exe -- jsonlint "$out/BENCH_reads.json"
+dune exec bin/probe.exe -- benchguard "$out/BENCH_reads.json" \
   scripts/bench_reads_baseline.json \
   --keys read_tput_tps,read_tput_off_tps --max-regression-pct 10
 
@@ -127,17 +140,17 @@ echo "== bench longhaul smoke =="
 # horizon -> BENCH_longhaul.json (flat vs linear log growth, O(delta)
 # vs O(history) rejoin). The guard holds durable throughput and the
 # compaction factor against the committed quick-mode baseline.
-dune exec bench/main.exe -- quick longhaul
-dune exec bin/probe.exe -- jsonlint BENCH_longhaul.json
-dune exec bin/probe.exe -- benchguard BENCH_longhaul.json \
+bench quick longhaul
+dune exec bin/probe.exe -- jsonlint "$out/BENCH_longhaul.json"
+dune exec bin/probe.exe -- benchguard "$out/BENCH_longhaul.json" \
   scripts/bench_longhaul_baseline.json \
   --keys durable_tput_tps,compaction_factor_x100 --max-regression-pct 10
 
 echo "== bench reconfig smoke =="
 # Shifting-hotspot bench: static placement vs the live rebalancer ->
 # BENCH_reconfig.json (the rebalanced run must win post-shift).
-dune exec bench/main.exe -- quick reconfig
-dune exec bin/probe.exe -- jsonlint BENCH_reconfig.json
+bench quick reconfig
+dune exec bin/probe.exe -- jsonlint "$out/BENCH_reconfig.json"
 
 echo "== bench elastic smoke =="
 # Ramp bench: client load grows 10x mid-run; the elastic deployment
@@ -145,16 +158,11 @@ echo "== bench elastic smoke =="
 # onto the idle server pool while the static one saturates ->
 # BENCH_elastic.json. The guard holds both post-ramp throughputs
 # against the committed quick-mode baseline.
-dune exec bench/main.exe -- quick elastic
-dune exec bin/probe.exe -- jsonlint BENCH_elastic.json
-dune exec bin/probe.exe -- benchguard BENCH_elastic.json \
+bench quick elastic
+dune exec bin/probe.exe -- jsonlint "$out/BENCH_elastic.json"
+dune exec bin/probe.exe -- benchguard "$out/BENCH_elastic.json" \
   scripts/bench_elastic_baseline.json \
   --keys elastic_postramp_tput_tps,static_postramp_tput_tps \
   --max-regression-pct 10
-
-if [ -n "${ARTIFACTS:-}" ]; then
-  cp BENCH_coord.json BENCH_reconfig.json BENCH_pipeline.json \
-    BENCH_longhaul.json BENCH_reads.json BENCH_elastic.json "$ARTIFACTS/"
-fi
 
 echo "all checks passed"

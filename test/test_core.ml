@@ -1075,13 +1075,17 @@ let test_chaos_regression_rejoin_gap () =
 
 (* {1 Parallel execution (Section III-D.1 extension)} *)
 
+(* The pipeline on with [n] executor fibers per replica. *)
+let executors n =
+  { Config.default_pipeline with Config.pipe_enabled = true; pipe_executors = n }
+
 let test_parallel_correctness () =
-  (* workers = 4: disjoint-key updates run concurrently, transfers act
+  (* 4 executors: disjoint-key updates run concurrently, transfers act
      as multi-partition barriers; conservation and convergence must
      hold exactly as in sequential mode. *)
   let w =
     make_kv ~seed:17 ~keys:8 ~partitions:2 ~init:100L
-      ~tweak:(fun c -> { c with Config.workers = 4 })
+      ~tweak:(fun c -> { c with Config.pipeline = executors 4 })
       ()
   in
   let rng = Random.State.make [| 3 |] in
@@ -1125,15 +1129,15 @@ let test_parallel_correctness () =
     (Int64.to_int !total >= 800 && Int64.to_int !total <= 800 + 120)
 
 let test_parallel_speedup () =
-  (* Disjoint-key writes from many clients: 4 workers should clearly
+  (* Disjoint-key writes from many clients: 4 executors should clearly
      outrun 1 (execution dominates single-partition latency). *)
-  let run workers =
+  let run n =
     let w =
       make_kv ~seed:5 ~keys:16 ~partitions:1 ~init:0L
         ~tweak:(fun c ->
           {
             c with
-            Config.workers;
+            Config.pipeline = executors n;
             costs = { c.Config.costs with Config.exec_base_ns = 30_000 };
           })
         ()
@@ -1159,10 +1163,10 @@ let test_parallel_speedup () =
 
 let test_parallel_conflicts_serialize () =
   (* All clients hammer the same key: order must be preserved even with
-     many workers — the final value equals the number of increments. *)
+     many executors — the final value equals the number of increments. *)
   let w =
     make_kv ~seed:9 ~keys:2 ~partitions:1 ~init:0L
-      ~tweak:(fun c -> { c with Config.workers = 8 })
+      ~tweak:(fun c -> { c with Config.pipeline = executors 8 })
       ()
   in
   let per_client = 25 in
@@ -1306,7 +1310,6 @@ let test_batching_onoff_equivalence () =
 
 let pipe_cfg ?(batch = 4) ?(flush = 10_000) ?(executors = 4) () =
   {
-    Config.default_pipeline with
     Config.pipe_enabled = true;
     pipe_batch_size = batch;
     pipe_flush_timeout_ns = flush;
@@ -1422,6 +1425,96 @@ let test_pipeline_conflicts_serialize () =
   check_i64 "all increments applied in order" (Int64.of_int (4 * per_client))
     (Bytes.get_int64_le (fst (Versioned_store.get st (Kv_app.oid_of_key 0))) 0);
   assert_replicas_converged w
+
+let test_pipeline_rejects_bad_pool () =
+  (* Pool settings are validated, not clamped: zero executors would
+     never drain an admitted request, and batch size 0 never triggers a
+     size flush. With the pipeline off neither setting is read. *)
+  let rejected pl =
+    match make_kv ~partitions:1 ~tweak:(fun c -> { c with Config.pipeline = pl }) () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "zero executors rejected" true (rejected (pipe_cfg ~executors:0 ()));
+  check_bool "zero batch size rejected" true (rejected (pipe_cfg ~batch:0 ()));
+  check_bool "pipeline off accepts them" false
+    (rejected { (pipe_cfg ~executors:0 ~batch:0 ()) with Config.pipe_enabled = false })
+
+(* Kv_app requests carrying an extra execution cost (virtual ns). *)
+let costed_kv ~keys =
+  let kv = Kv_app.app ~keys ~partitions:1 ~init:0L in
+  {
+    App.app_name = "costed-kv";
+    placement_of = kv.App.placement_of;
+    klass_of = kv.App.klass_of;
+    read_set = (fun (_, rq) -> kv.App.read_set rq);
+    read_plan = (fun ~part (_, rq) -> kv.App.read_plan ~part rq);
+    write_sketch = (fun (_, rq) -> kv.App.write_sketch rq);
+    req_size = (fun (_, rq) -> kv.App.req_size rq);
+    resp_size = kv.App.resp_size;
+    execute =
+      (fun ctx (cost, rq) ->
+        ctx.App.ctx_charge cost;
+        kv.App.execute ctx rq);
+    serial_hint = (fun (_, rq) -> kv.App.serial_hint rq);
+    read_only = (fun (_, rq) -> kv.App.read_only rq);
+    catalog = kv.App.catalog;
+  }
+
+let test_pipeline_frontier_prefix_closed () =
+  (* A slow request and then a fast one on disjoint keys share one
+     batch and run on two executors. The fast one finishes and replies
+     first, but the applied frontier may only cover a prefix of the
+     delivery order: until the slow one is done, no replica's
+     last_applied moves. Afterwards it covers both. *)
+  let eng = Engine.create ~seed:3 () in
+  let cfg =
+    {
+      (Config.default ~partitions:1 ~replicas:3) with
+      Config.pipeline = pipe_cfg ~batch:2 ~flush:(Time_ns.ms 1) ~executors:2 ();
+    }
+  in
+  let sys = System.create eng ~cfg ~app:(costed_kv ~keys:4) in
+  System.start sys;
+  let replicas () = Array.to_list (System.replicas sys).(0) in
+  let slow_done = ref false in
+  (* (slow already replied, some replica sequenced the batch, applied
+     frontiers) at the instant the fast reply reaches its client *)
+  let at_fast_reply = ref None in
+  let spawn name f =
+    let node = System.new_client_node sys ~name in
+    Fabric.spawn_on node (fun () -> f node)
+  in
+  spawn "slow" (fun node ->
+      ignore (System.submit sys ~from:node (Time_ns.us 200, Kv_app.Put (0, 1L)));
+      slow_done := true);
+  spawn "fast" (fun node ->
+      (* Join the open batch behind the slow request. *)
+      Engine.sleep (Time_ns.us 1);
+      ignore (System.submit sys ~from:node (0, Kv_app.Put (1, 1L)));
+      at_fast_reply :=
+        Some
+          ( !slow_done,
+            List.exists (fun r -> Tstamp.(Tstamp.zero < Replica.last_req r)) (replicas ()),
+            List.map Replica.last_applied (replicas ()) ));
+  Engine.run_until eng (Time_ns.ms 5);
+  (match !at_fast_reply with
+  | None -> Alcotest.fail "fast request never replied"
+  | Some (slow_first, sequenced, frontiers) ->
+      check_bool "fast reply precedes slow" false slow_first;
+      check_bool "batch sequenced" true sequenced;
+      List.iter
+        (fun f ->
+          check_bool "frontier held behind the slow request" true
+            (Tstamp.equal f Tstamp.zero))
+        frontiers);
+  check_bool "slow replied" true !slow_done;
+  List.iter
+    (fun r ->
+      check_bool "frontier covers both" true
+        (Tstamp.(Tstamp.zero < Replica.last_applied r)
+        && Tstamp.equal (Replica.last_applied r) (Replica.last_req r)))
+    (replicas ())
 
 let tc name f = Alcotest.test_case name `Quick f
 let qc t = QCheck_alcotest.to_alcotest t
@@ -1794,6 +1887,9 @@ let suite =
       [
         tc "pipeline on/off equivalence" test_pipeline_onoff_equivalence;
         tc "conflicting requests serialize" test_pipeline_conflicts_serialize;
+        tc "bad pool settings rejected" test_pipeline_rejects_bad_pool;
+        tc "frontier stays prefix-closed under the pool"
+          test_pipeline_frontier_prefix_closed;
         qc pipeline_flush_timeout_prop;
       ] );
     ( "core.fast_reads",

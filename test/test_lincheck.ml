@@ -268,7 +268,6 @@ let test_pipeline_onoff_linearizable () =
       c with
       Config.pipeline =
         {
-          Config.default_pipeline with
           Config.pipe_enabled = true;
           pipe_batch_size = 4;
           pipe_flush_timeout_ns = 10_000;

@@ -328,7 +328,6 @@ let test_system_pipeline_stages () =
       Config.reqtrace = Some col;
       pipeline =
         {
-          Config.default_pipeline with
           Config.pipe_enabled = true;
           pipe_batch_size = 2;
           pipe_flush_timeout_ns = 10_000;

@@ -381,13 +381,13 @@ let differential_prop =
 
 (* {1 Concurrent invariants} *)
 
-let concurrent_invariants ~workers () =
+let concurrent_invariants ~pipeline () =
   (* Multiple clients; afterwards: per-district order-id accounting and
      replica convergence must hold despite concurrency. *)
   let warehouses = 2 in
   let scale = Scale.tiny ~warehouses in
   let eng = Engine.create ~seed:3 () in
-  let cfg = { (Config.default ~partitions:warehouses ~replicas:3) with Config.workers } in
+  let cfg = { (Config.default ~partitions:warehouses ~replicas:3) with Config.pipeline } in
   let app = Tx.app ~scale ~seed:1 in
   let sys = System.create eng ~cfg ~app in
   System.start sys;
@@ -476,8 +476,16 @@ let suite =
       ] );
     ( "tpcc.concurrent",
       [
-        stc "invariants under concurrency" (concurrent_invariants ~workers:1);
-        stc "invariants with parallel execution" (concurrent_invariants ~workers:4);
+        stc "invariants under concurrency"
+          (concurrent_invariants ~pipeline:Config.default_pipeline);
+        stc "invariants with parallel execution"
+          (concurrent_invariants
+             ~pipeline:
+               {
+                 Config.default_pipeline with
+                 Config.pipe_enabled = true;
+                 pipe_executors = 4;
+               });
       ] );
   ]
 

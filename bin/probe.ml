@@ -257,6 +257,11 @@ let run_chaos ?(longhaul = false) args =
             try Scanf.sscanf spec "%d..%d" (fun a b -> seed_lo := a; seed_hi := b)
             with Scanf.Scan_failure _ | Failure _ | End_of_file -> usage ())
         | None -> usage ());
+        (* An empty range would sweep nothing and pass. *)
+        if !seed_lo > !seed_hi then begin
+          Printf.eprintf "empty seed range %s\n" spec;
+          usage ()
+        end;
         parse rest
     | "--shrink" :: rest ->
         shrink := true;

@@ -746,17 +746,3 @@ let micro_kv ?(quick = false) () =
       ("E (with scans)", Ycsb_app.workload_e);
     ];
   (latency_table, ycsb_table)
-
-let all ?(quick = false) () =
-  let f4 = fig4 ~quick () in
-  let f5 = fig5 ~quick () in
-  let f6a, f6b = fig6 ~quick () in
-  let f7a, f7b = fig7 ~quick () in
-  let t1 = table1 ~quick () in
-  let f8 = fig8 ~quick () in
-  let ab = ablation_grace ~quick () in
-  let ab2 = ablation_parallel ~quick () in
-  let ab3 = ablation_batching ~quick () in
-  let ab4 = ablation_coord_batching ~quick () in
-  let mk1, mk2 = micro_kv ~quick () in
-  [ f4; f5; f6a; f6b; f7a; f7b; t1; f8; ab; ab2; ab3; ab4; mk1; mk2 ]

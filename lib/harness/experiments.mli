@@ -51,11 +51,6 @@ val ablation_batching : ?quick:bool -> unit -> Table.t
     batches; our calibrated default does not) — throughput/latency of
     null requests with batching on and off at increasing load. *)
 
-val write_post_charges : Heron_obs.Metrics.t -> int
-(** Total [rdma.verb.count{verb="write_post"}] doorbell charges across
-    every QP recorded in the registry (one per doorbell ring when
-    coordination batching is on, one per write otherwise). *)
-
 val ablation_coord_batching : ?quick:bool -> unit -> Table.t
 (** Extension: doorbell-batched coordination writes (Qp.Doorbell via
     [Config.coord_batching]) on an all-multi-partition null workload —
@@ -68,7 +63,3 @@ val micro_kv : ?quick:bool -> unit -> Table.t * Table.t
     full-replication RDMA systems Heron's related work compares against
     (Mu, DARE) — per-operation latency across value sizes, and YCSB
     mixes across key distributions. *)
-
-val all : ?quick:bool -> unit -> Table.t list
-(** Every experiment, in paper order, plus the ablations and
-    microbenchmarks. *)

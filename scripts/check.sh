@@ -5,7 +5,7 @@
 #   ./scripts/check.sh
 #   ARTIFACTS=artifacts ./scripts/check.sh   # keep the JSON outputs
 #
-# With ARTIFACTS set, the metrics dump, trace files and bench-smoke
+# With ARTIFACTS set, the metrics dump, trace file and bench-smoke
 # BENCH_*.json files are written there (and kept) instead of into a
 # throwaway directory — CI uploads that directory as the workflow
 # artifact. Either way the working tree is left as it was: the
@@ -36,7 +36,6 @@ else
 fi
 metrics="$out/bench_smoke_metrics.json"
 trace="$out/probe_trace.json"
-bench_trace="$out/bench_coord_trace.json"
 
 # The bench writes BENCH_<name>.json into its working directory: run it
 # inside $out.
@@ -105,36 +104,6 @@ for f in test/corpus/longhaul_*.json; do
   dune exec bin/probe.exe -- longhaul --replay "$f"
 done
 
-echo "== bench coord smoke =="
-# Quick coordination bench: multi-partition p50/p99 latency,
-# single-partition throughput, doorbell charges and the per-stage
-# critical-path breakdown (DESIGN.md §11) -> BENCH_coord.json.
-bench quick coord --breakdown --trace "$bench_trace"
-dune exec bin/probe.exe -- jsonlint "$out/BENCH_coord.json"
-dune exec bin/probe.exe -- jsonlint "$bench_trace"
-dune exec bin/probe.exe -- explain "$bench_trace" --top 1 > /dev/null
-
-echo "== bench pipeline smoke =="
-# Pipeline ablation grid: on/off x executors x batch size ->
-# BENCH_pipeline.json; then the deterministic regression guard — the
-# sim is bit-exact per seed, so the committed quick-mode baseline
-# admits an exact >10%-drop check on throughput.
-bench quick pipeline
-dune exec bin/probe.exe -- jsonlint "$out/BENCH_pipeline.json"
-dune exec bin/probe.exe -- benchguard "$out/BENCH_pipeline.json" \
-  scripts/bench_pipeline_baseline.json \
-  --keys best_pipeline_tput_tps,off_tput_tps --max-regression-pct 10
-
-echo "== bench reads smoke =="
-# Fast-read ablation: YCSB A/B/C x fast_reads on/off plus write and
-# scan probes -> BENCH_reads.json. The guard holds the lease-served
-# YCSB-C read throughput against the committed quick-mode baseline.
-bench quick reads --breakdown
-dune exec bin/probe.exe -- jsonlint "$out/BENCH_reads.json"
-dune exec bin/probe.exe -- benchguard "$out/BENCH_reads.json" \
-  scripts/bench_reads_baseline.json \
-  --keys read_tput_tps,read_tput_off_tps --max-regression-pct 10
-
 echo "== bench longhaul smoke =="
 # Durability ablation: checkpointing on vs off over a long virtual
 # horizon -> BENCH_longhaul.json (flat vs linear log growth, O(delta)
@@ -145,12 +114,6 @@ dune exec bin/probe.exe -- jsonlint "$out/BENCH_longhaul.json"
 dune exec bin/probe.exe -- benchguard "$out/BENCH_longhaul.json" \
   scripts/bench_longhaul_baseline.json \
   --keys durable_tput_tps,compaction_factor_x100 --max-regression-pct 10
-
-echo "== bench reconfig smoke =="
-# Shifting-hotspot bench: static placement vs the live rebalancer ->
-# BENCH_reconfig.json (the rebalanced run must win post-shift).
-bench quick reconfig
-dune exec bin/probe.exe -- jsonlint "$out/BENCH_reconfig.json"
 
 echo "== bench elastic smoke =="
 # Ramp bench: client load grows 10x mid-run; the elastic deployment

@@ -12,7 +12,6 @@ let check_string = Alcotest.(check string)
 
 let tc name f = Alcotest.test_case name `Quick f
 
-let qc t = QCheck_alcotest.to_alcotest t
 
 (* {1 Schedules} *)
 
@@ -608,17 +607,17 @@ let suite =
   [
     ( "chaos.schedule",
       [
-        qc generator_valid_prop;
+        Qc.test generator_valid_prop;
         tc "generation is deterministic" test_generate_deterministic;
         tc "generated envelope: sequential follower faults" test_generate_envelope;
-        qc json_roundtrip_prop;
-        qc reconfig_generator_prop;
+        Qc.test json_roundtrip_prop;
+        Qc.test reconfig_generator_prop;
         tc "reconfig migrations overlap crash windows" test_reconfig_generator_overlap;
-        qc elastic_generator_prop;
+        Qc.test elastic_generator_prop;
         tc "elastic generator shape" test_elastic_generator_shape;
         tc "pre-topology pins decode with topology off"
           test_elastic_field_back_compat;
-        qc longhaul_generator_prop;
+        Qc.test longhaul_generator_prop;
         tc "longhaul generator shape" test_longhaul_generator_shape;
         tc "pre-durability pins parse (no horizon field)"
           test_old_pins_parse_without_horizon;
@@ -637,15 +636,15 @@ let suite =
       ] );
     ( "chaos.durability",
       [
-        qc durability_refinement_state_prop;
-        qc durability_refinement_verdict_prop;
+        Qc.test durability_refinement_state_prop;
+        Qc.test durability_refinement_verdict_prop;
         Alcotest.test_case "longhaul seeds pass" `Slow test_longhaul_seeds_pass;
         tc "non-durable baseline flagged unbounded"
           test_longhaul_flags_nondurable_baseline;
       ] );
     ( "chaos.fast_reads",
       [
-        qc fast_reads_refinement_verdict_prop;
+        Qc.test fast_reads_refinement_verdict_prop;
         tc "fast path actually serves reads" test_fast_reads_serve_locally;
       ] );
     ( "chaos.shrink",

@@ -1517,7 +1517,6 @@ let test_pipeline_frontier_prefix_closed () =
     (replicas ())
 
 let tc name f = Alcotest.test_case name `Quick f
-let qc t = QCheck_alcotest.to_alcotest t
 
 (* {1 Durability: checkpointing + log compaction (DESIGN.md §13)} *)
 
@@ -1817,10 +1816,10 @@ let suite =
         tc "raw cell copy" test_store_write_raw_cell;
         tc "capacity checks" test_store_capacity_checks;
         tc "get_at_most" test_store_get_at_most;
-        qc store_version_prop;
+        Qc.test store_version_prop;
         tc "remote read vs write race" test_store_remote_read_write_race;
         tc "out-of-order writes" test_store_out_of_order_writes;
-        qc store_interleaving_prop;
+        Qc.test store_interleaving_prop;
       ] );
     ( "core.update_log",
       [
@@ -1832,9 +1831,9 @@ let suite =
         tc "note_gap: gap spanning truncation" test_log_gap_spanning_truncation;
         tc "explicit truncation at a checkpoint cut" test_log_explicit_truncate;
         tc "truncate composes with note_gap" test_log_truncate_note_gap_compose;
-        qc log_truncate_model_prop;
-        qc log_range_model_prop;
-        qc log_gap_migration_prop;
+        Qc.test log_truncate_model_prop;
+        Qc.test log_range_model_prop;
+        Qc.test log_gap_migration_prop;
       ] );
     ( "core.memories",
       [ tc "coord_mem" test_coord_mem; tc "statesync_mem" test_statesync_mem ] );
@@ -1848,7 +1847,7 @@ let suite =
         tc "stats recorded" test_kv_stats_recorded;
         tc "trace spans" test_kv_trace_spans;
         tc "read outside read set rejected" test_kv_read_outside_read_set_rejected;
-        qc fig3_invariant_prop;
+        Qc.test fig3_invariant_prop;
       ] );
     ( "core.failures",
       [
@@ -1859,8 +1858,8 @@ let suite =
         tc "crash, restart, full rejoin" test_kv_crash_restart_rejoin;
         tc "multicast leader crash + ex-leader rejoin" test_kv_leader_crash_tolerated;
         tc "chaos regression: rejoin gap (seed 3206)" test_chaos_regression_rejoin_gap;
-        qc chaos_crash_restart_prop;
-        qc chaos_crash_restart_durability_prop;
+        Qc.test chaos_crash_restart_prop;
+        Qc.test chaos_crash_restart_durability_prop;
       ] );
     ( "core.parallel",
       [
@@ -1890,7 +1889,7 @@ let suite =
         tc "bad pool settings rejected" test_pipeline_rejects_bad_pool;
         tc "frontier stays prefix-closed under the pool"
           test_pipeline_frontier_prefix_closed;
-        qc pipeline_flush_timeout_prop;
+        Qc.test pipeline_flush_timeout_prop;
       ] );
     ( "core.fast_reads",
       [

@@ -308,7 +308,6 @@ let pipeline_linearizable_prop =
       Lincheck.check (kv_spec ~keys ~init:0L) events)
 
 let tc name f = Alcotest.test_case name `Quick f
-let qc t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
@@ -321,7 +320,7 @@ let suite =
         tc "bad interval rejected" test_bad_interval_rejected;
         tc "counterexample message shape" test_counterexample_message_shape;
         tc "counterexample_free accepts good histories" test_counterexample_free_accepts;
-        qc reg_sequential_prop;
+        Qc.test reg_sequential_prop;
       ] );
     ( "lincheck.heron",
       [
@@ -329,8 +328,8 @@ let suite =
         tc "corrupted history rejected" test_corrupted_history_rejected;
         tc "coord batching on/off verdicts agree" test_batching_onoff_linearizable;
         tc "pipeline on/off verdicts agree" test_pipeline_onoff_linearizable;
-        qc heron_linearizable_prop;
-        qc pipeline_linearizable_prop;
+        Qc.test heron_linearizable_prop;
+        Qc.test pipeline_linearizable_prop;
       ] );
   ]
 

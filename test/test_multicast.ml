@@ -451,7 +451,6 @@ let mcast_follower_crash_prop =
       true)
 
 let tc name f = Alcotest.test_case name `Quick f
-let qc t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
@@ -460,7 +459,7 @@ let suite =
         tc "ordering" test_tstamp_order;
         tc "int64 roundtrip" test_tstamp_int64_roundtrip;
         tc "out of range" test_tstamp_out_of_range;
-        qc tstamp_pack_order_prop;
+        Qc.test tstamp_pack_order_prop;
       ] );
     ( "multicast.delivery",
       [
@@ -480,10 +479,10 @@ let suite =
       ] );
     ( "multicast.properties",
       [
-        qc mcast_props_prop;
-        qc mcast_no_failover_prop;
-        qc mcast_batching_prop;
-        qc mcast_follower_crash_prop;
+        Qc.test mcast_props_prop;
+        Qc.test mcast_no_failover_prop;
+        Qc.test mcast_batching_prop;
+        Qc.test mcast_follower_crash_prop;
       ] );
   ]
 

@@ -436,7 +436,7 @@ let () =
             test_overlapping_siblings_nested;
           Alcotest.test_case "truncated / dropped children" `Quick
             test_truncated_children;
-          QCheck_alcotest.to_alcotest prop_attribution_exact;
+          Qc.test prop_attribution_exact;
         ] );
       ( "collector",
         [

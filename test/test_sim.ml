@@ -369,7 +369,6 @@ let test_trace_render_zero_duration () =
     (widths <> [] && List.for_all (fun w -> w = List.hd widths) widths)
 
 let tc name f = Alcotest.test_case name `Quick f
-let qc t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
@@ -378,7 +377,7 @@ let suite =
         tc "drains sorted" test_pq_order;
         tc "empty heap" test_pq_empty;
         tc "peek does not remove" test_pq_peek_does_not_remove;
-        qc pq_sorted_prop;
+        Qc.test pq_sorted_prop;
       ] );
     ("sim.time", [ tc "unit conversions" test_time_units ]);
     ( "sim.engine",

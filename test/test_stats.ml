@@ -127,7 +127,6 @@ let test_cells () =
   Alcotest.(check string) "int" "42" (Table.cell_int 42)
 
 let tc name f = Alcotest.test_case name `Quick f
-let qc t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
@@ -140,8 +139,8 @@ let suite =
         tc "clear" test_clear;
         tc "cdf" test_cdf;
         tc "merge" test_merge;
-        qc percentile_prop;
-        qc mean_prop;
+        Qc.test percentile_prop;
+        Qc.test mean_prop;
       ] );
     ( "stats.table",
       [

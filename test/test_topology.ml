@@ -14,7 +14,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let tc name f = Alcotest.test_case name `Quick f
-let qc t = QCheck_alcotest.to_alcotest t
 
 (* {1 Ring} *)
 
@@ -320,10 +319,10 @@ let suite =
       ] );
     ( "topology.table",
       [
-        qc placement_deterministic_prop;
-        qc table_well_formed_prop;
-        qc split_merge_inverse_prop;
-        qc split_moves_only_carved_prop;
+        Qc.test placement_deterministic_prop;
+        Qc.test table_well_formed_prop;
+        Qc.test split_merge_inverse_prop;
+        Qc.test split_moves_only_carved_prop;
       ] );
     ( "topology.live",
       [

@@ -439,7 +439,6 @@ let concurrent_invariants ~pipeline () =
 
 let tc name f = Alcotest.test_case name `Quick f
 let stc name f = Alcotest.test_case name `Slow f
-let qc t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
@@ -449,7 +448,7 @@ let suite =
       [ tc "row roundtrips" test_schema_roundtrips; tc "sizes fit caps" test_schema_sizes_fit_caps ] );
     ( "tpcc.oid",
       [
-        qc oid_roundtrip_prop;
+        Qc.test oid_roundtrip_prop;
         tc "placement" test_oid_placement;
         tc "range checks" test_oid_range_checks;
       ] );
@@ -472,7 +471,7 @@ let suite =
         tc "1 warehouse" test_differential_single_wh;
         tc "2 warehouses" test_differential_two_wh;
         tc "4 warehouses" test_differential_four_wh;
-        qc differential_prop;
+        Qc.test differential_prop;
       ] );
     ( "tpcc.concurrent",
       [

@@ -27,8 +27,11 @@ type ('req, 'resp) request = {
   rq_submitted : Time_ns.t;  (** client submit instant (latency metrics) *)
   rq_client_node : Heron_rdma.Fabric.node;
   rq_reply : part:int -> 'resp reply -> unit;
-      (** invoked (on a replica fiber, after the reply transfer) at most
-          once per partition *)
+      (** invoked (on a replica fiber, after the reply transfer) by
+          every replica of each destination partition that answers
+          the request, with a reply or a redirect; the first call per
+          partition answers the client, and any call after the client
+          has returned is a no-op *)
   rq_trace : int;
       (** request-scoped trace id minted by the client at submit
           (DESIGN.md §11); 0 when the deployment does not trace *)

@@ -496,9 +496,15 @@ let fast_read_round t ~from ~part payload =
 (* One multicast round: returns the per-partition replies (first reply
    per partition wins, replicas answer redundantly). [trace]/[parent]
    are the request-scoped trace id and root span id (0 when the
-   deployment does not trace). *)
+   deployment does not trace).
+
+   The request record outlives the round in the multicast log, so the
+   reply slots hang off a ref that is emptied once every reply is in:
+   the log then retains the payload but not the ivars and responses,
+   and a late redundant reply finds no slot. *)
 let submit_round t ~from ~dst ~trace ~parent payload =
-  let replies = List.map (fun p -> (p, Ivar.create ())) dst in
+  let slots = ref (List.map (fun p -> (p, Ivar.create ())) dst) in
+  let replies = !slots in
   let rq =
     {
       Replica.rq_payload = payload;
@@ -507,7 +513,7 @@ let submit_round t ~from ~dst ~trace ~parent payload =
       rq_client_node = from;
       rq_reply =
         (fun ~part resp ->
-          match List.assoc_opt part replies with
+          match List.assoc_opt part !slots with
           | Some iv -> ignore (Ivar.try_fill iv resp)
           | None -> ());
       rq_trace = trace;
@@ -517,7 +523,9 @@ let submit_round t ~from ~dst ~trace ~parent payload =
   (match (t.sys_batcher, dst) with
   | Some b, [ part ] -> batcher_enqueue t b ~from ~part rq
   | _ -> ignore (Ramcast.multicast t.sys_mcast ~from ~dst (Replica.Req rq)));
-  List.map (fun (p, iv) -> (p, Ivar.read iv)) replies
+  let resps = List.map (fun (p, iv) -> (p, Ivar.read iv)) replies in
+  slots := [];
+  resps
 
 (* Submit and retry on wrong-epoch redirects: refresh the cached view
    from the directory, recompute the destination set and resubmit. The

@@ -5,11 +5,17 @@ type klass = Registered | Local
 
 type reg_obj = { ro_off : int; ro_cap : int }
 
-type local_version = { mutable lv_val : bytes; mutable lv_tmp : Tstamp.t }
-
-type local_obj = { la : local_version; lb : local_version }
-
-type entry = Reg of reg_obj | Loc of local_obj
+(* A local object's two versions sit inline in its table entry. Until
+   the first [set] both versions share one copy of the initial value;
+   [set] replaces a version's bytes and never writes into them. *)
+type entry =
+  | Reg of reg_obj
+  | Loc of {
+      mutable a_val : bytes;
+      mutable a_tmp : Tstamp.t;
+      mutable b_val : bytes;
+      mutable b_tmp : Tstamp.t;
+    }
 
 type t = {
   st_node : Fabric.node;
@@ -66,17 +72,15 @@ let slot_write t ro slot value ~tmp =
 
 (* {1 Registration} *)
 
+let local_entry value ~tmp =
+  let v = Bytes.copy value in
+  Loc { a_val = v; a_tmp = tmp; b_val = v; b_tmp = tmp }
+
 let register t oid ~klass ~cap ~init =
   if Hashtbl.mem t.objects oid then
     invalid_arg "Versioned_store.register: oid already registered";
   match klass with
-  | Local ->
-      Hashtbl.replace t.objects oid
-        (Loc
-           {
-             la = { lv_val = Bytes.copy init; lv_tmp = Tstamp.zero };
-             lb = { lv_val = Bytes.copy init; lv_tmp = Tstamp.zero };
-           })
+  | Local -> Hashtbl.replace t.objects oid (local_entry init ~tmp:Tstamp.zero)
   | Registered ->
       if Bytes.length init > cap then
         invalid_arg "Versioned_store.register: init exceeds capacity";
@@ -92,51 +96,67 @@ let register t oid ~klass ~cap ~init =
 let insert_local t oid value ~tmp =
   if Hashtbl.mem t.objects oid then
     invalid_arg "Versioned_store.insert_local: oid already registered";
-  Hashtbl.replace t.objects oid
-    (Loc
-       {
-         la = { lv_val = Bytes.copy value; lv_tmp = tmp };
-         lb = { lv_val = Bytes.copy value; lv_tmp = tmp };
-       })
+  Hashtbl.replace t.objects oid (local_entry value ~tmp)
 
 (* {1 Reads} *)
 
-let versions t oid =
-  match Hashtbl.find t.objects oid with
-  | Reg ro -> ((slot_value t ro `A, slot_tmp t ro `A), (slot_value t ro `B, slot_tmp t ro `B))
-  | Loc l -> ((l.la.lv_val, l.la.lv_tmp), (l.lb.lv_val, l.lb.lv_tmp))
-
-let get t oid =
-  let (va, ta), (vb, tb) = versions t oid in
-  if Tstamp.(tb <= ta) then (va, ta) else (vb, tb)
-
-let pick_version ((va, ta), (vb, tb)) ~bound =
-  let a_ok = Tstamp.(ta < bound) and b_ok = Tstamp.(tb < bound) in
+(* The freshest of the admitted versions. *)
+let pick_slot ta tb ~a_ok ~b_ok =
   match (a_ok, b_ok) with
-  | true, true -> if Tstamp.(tb <= ta) then Some (va, ta) else Some (vb, tb)
-  | true, false -> Some (va, ta)
-  | false, true -> Some (vb, tb)
+  | true, true -> if Tstamp.(tb <= ta) then Some `A else Some `B
+  | true, false -> Some `A
+  | false, true -> Some `B
   | false, false -> None
 
+let stamp t e slot =
+  match (e, slot) with
+  | Reg ro, _ -> slot_tmp t ro slot
+  | Loc l, `A -> l.a_tmp
+  | Loc l, `B -> l.b_tmp
+
+let value t e slot =
+  match (e, slot) with
+  | Reg ro, _ -> slot_value t ro slot
+  | Loc l, `A -> l.a_val
+  | Loc l, `B -> l.b_val
+
+(* Read both stamps, then copy only the chosen version's bytes. *)
+let read t oid ok =
+  let e = Hashtbl.find t.objects oid in
+  let ta = stamp t e `A and tb = stamp t e `B in
+  match pick_slot ta tb ~a_ok:(ok ta) ~b_ok:(ok tb) with
+  | Some `A -> Some (value t e `A, ta)
+  | Some `B -> Some (value t e `B, tb)
+  | None -> None
+
+let get t oid = Option.get (read t oid (fun _ -> true))
+
+let pick_version ((va, ta), (vb, tb)) ~bound =
+  match pick_slot ta tb ~a_ok:Tstamp.(ta < bound) ~b_ok:Tstamp.(tb < bound) with
+  | Some `A -> Some (va, ta)
+  | Some `B -> Some (vb, tb)
+  | None -> None
+
 let get_before t oid ~bound =
-  match pick_version (versions t oid) ~bound with
+  match read t oid (fun ts -> Tstamp.(ts < bound)) with
   | Some _ as r -> r
   | None ->
       count_miss t;
       None
 
-let get_at_most t oid ~bound =
-  let (va, ta), (vb, tb) = versions t oid in
-  let a_ok = Tstamp.(ta <= bound) and b_ok = Tstamp.(tb <= bound) in
-  match (a_ok, b_ok) with
-  | true, true -> if Tstamp.(tb <= ta) then Some (va, ta) else Some (vb, tb)
-  | true, false -> Some (va, ta)
-  | false, true -> Some (vb, tb)
-  (* No miss counted here: the donor snapshot legitimately skips
-     objects created beyond its bound. *)
-  | false, false -> None
+(* No miss counted here: the donor snapshot legitimately skips objects
+   created beyond its bound. *)
+let get_at_most t oid ~bound = read t oid (fun ts -> Tstamp.(ts <= bound))
 
 (* {1 Writes} *)
+
+(* The version a write at [tmp] overwrites: its own (idempotent
+   re-execution), else the older one. *)
+let target_slot ta tb ~tmp =
+  if Tstamp.equal ta tmp then `A
+  else if Tstamp.equal tb tmp then `B
+  else if Tstamp.(ta <= tb) then `A
+  else `B
 
 let set t oid value ~tmp =
   match Hashtbl.find_opt t.objects oid with
@@ -144,23 +164,16 @@ let set t oid value ~tmp =
   | Some (Reg ro) ->
       if Bytes.length value > ro.ro_cap then
         invalid_arg "Versioned_store.set: value exceeds capacity";
-      let ta = slot_tmp t ro `A and tb = slot_tmp t ro `B in
-      let slot =
-        if Tstamp.equal ta tmp then `A
-        else if Tstamp.equal tb tmp then `B
-        else if Tstamp.(ta <= tb) then `A
-        else `B
-      in
-      slot_write t ro slot value ~tmp
-  | Some (Loc l) ->
-      let v =
-        if Tstamp.equal l.la.lv_tmp tmp then l.la
-        else if Tstamp.equal l.lb.lv_tmp tmp then l.lb
-        else if Tstamp.(l.la.lv_tmp <= l.lb.lv_tmp) then l.la
-        else l.lb
-      in
-      v.lv_val <- Bytes.copy value;
-      v.lv_tmp <- tmp
+      slot_write t ro (target_slot (slot_tmp t ro `A) (slot_tmp t ro `B) ~tmp) value ~tmp
+  | Some (Loc l) -> (
+      let value = Bytes.copy value in
+      match target_slot l.a_tmp l.b_tmp ~tmp with
+      | `A ->
+          l.a_val <- value;
+          l.a_tmp <- tmp
+      | `B ->
+          l.b_val <- value;
+          l.b_tmp <- tmp)
 
 (* {1 Remote cell access} *)
 

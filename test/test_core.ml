@@ -217,48 +217,120 @@ let test_store_out_of_order_writes () =
   | None -> Alcotest.fail "version lost");
   Alcotest.(check string) "newest still v6" "v6" (bs (fst (Versioned_store.get st 1)))
 
+(* Any interleaving of writes — out-of-order timestamps, duplicate
+   timestamps (idempotent re-execution) — leaves the store equal to the
+   two-slot reference model on every read and bound, for both storage
+   classes: a [Registered] or [Local] object from [register] (versions
+   at zero) or one from [insert_local] (versions at the insertion
+   stamp). *)
 let store_interleaving_prop =
-  (* Any interleaving of writes — out-of-order timestamps, duplicate
-     timestamps (idempotent re-execution) — leaves the store equal to
-     the two-slot reference model, for every read bound. *)
   QCheck.Test.make ~name:"adversarial write interleavings match the two-slot model"
     ~count:300
-    QCheck.(list_of_size Gen.(int_range 1 25) (pair (int_range 1 30) (int_bound 99)))
-    (fun writes ->
+    QCheck.(
+      triple
+        (oneofl [ `Registered; `Local; `Inserted ])
+        (int_range 0 10)
+        (list_of_size Gen.(int_range 1 30) (pair (int_range 1 12) (int_bound 99))))
+    (fun (origin, t0, writes) ->
       let _, st = make_store () in
-      Versioned_store.register st 1 ~klass:Versioned_store.Registered ~cap:8
-        ~init:(b "i");
-      let slot_a = ref (Tstamp.zero, "i") and slot_b = ref (Tstamp.zero, "i") in
+      let t0 = if origin = `Inserted then tmp t0 else Tstamp.zero in
+      (match origin with
+      | `Registered ->
+          Versioned_store.register st 1 ~klass:Versioned_store.Registered ~cap:8
+            ~init:(b "i")
+      | `Local ->
+          Versioned_store.register st 1 ~klass:Versioned_store.Local ~cap:0 ~init:(b "i")
+      | `Inserted -> Versioned_store.insert_local st 1 (b "i") ~tmp:t0);
+      let slot_a = ref (t0, "i") and slot_b = ref (t0, "i") in
       let model_set t v =
         if Tstamp.equal (fst !slot_a) t then slot_a := (t, v)
         else if Tstamp.equal (fst !slot_b) t then slot_b := (t, v)
         else if Tstamp.(fst !slot_a <= fst !slot_b) then slot_a := (t, v)
         else slot_b := (t, v)
       in
+      (* Freshest model version admitted by [ok]; ties go to slot A. *)
+      let model_read ok =
+        match (ok (fst !slot_a), ok (fst !slot_b)) with
+        | true, true ->
+            Some (if Tstamp.(fst !slot_b <= fst !slot_a) then !slot_a else !slot_b)
+        | true, false -> Some !slot_a
+        | false, true -> Some !slot_b
+        | false, false -> None
+      in
+      let same model got =
+        match (model, got) with
+        | Some (mt, mv), Some (v, t) -> Tstamp.equal mt t && mv = bs v
+        | None, None -> true
+        | _ -> false
+      in
       List.for_all
         (fun (c, v) ->
-          let t = tmp c and v = string_of_int v in
-          Versioned_store.set st 1 (Bytes.of_string v) ~tmp:t;
-          model_set t v;
-          let newest =
-            if Tstamp.(fst !slot_a <= fst !slot_b) then snd !slot_b else snd !slot_a
-          in
-          bs (fst (Versioned_store.get st 1)) = newest
+          let v = string_of_int v in
+          Versioned_store.set st 1 (Bytes.of_string v) ~tmp:(tmp c);
+          model_set (tmp c) v;
+          same (model_read (fun _ -> true)) (Some (Versioned_store.get st 1))
           && List.for_all
-               (fun bound_c ->
-                 let bound = tmp bound_c in
-                 let expect =
-                   [ !slot_a; !slot_b ]
-                   |> List.filter (fun (t, _) -> Tstamp.(t < bound))
-                   |> List.sort (fun (ta, _) (tb, _) -> Tstamp.compare tb ta)
-                   |> function (_, v) :: _ -> Some v | [] -> None
-                 in
-                 expect
-                 = Option.map
-                     (fun (v, _) -> bs v)
-                     (Versioned_store.get_before st 1 ~bound))
-               [ 0; 1; 5; 15; 31 ])
+               (fun bc ->
+                 let bound = tmp bc in
+                 same
+                   (model_read (fun t -> Tstamp.(t < bound)))
+                   (Versioned_store.get_before st 1 ~bound)
+                 && same
+                      (model_read (fun t -> Tstamp.(t <= bound)))
+                      (Versioned_store.get_at_most st 1 ~bound))
+               [ 0; 1; 3; 6; 9; 12; 13 ])
         writes)
+
+let test_store_initial_value_copied_once () =
+  (* A local object's two versions start from one copy of the initial
+     value. The first write must leave the other version's bytes as
+     they were, and neither version may alias the caller's buffer. *)
+  let check_origin name setup ~t0 =
+    let _, st = make_store () in
+    let init = b "init" in
+    setup st init;
+    Bytes.fill init 0 (Bytes.length init) 'X';
+    Alcotest.(check string) (name ^ ": caller's buffer not aliased") "init"
+      (bs (fst (Versioned_store.get st 1)));
+    Versioned_store.set st 1 (b "next") ~tmp:(tmp 20);
+    Alcotest.(check string) (name ^ ": write lands") "next"
+      (bs (fst (Versioned_store.get st 1)));
+    match Versioned_store.get_at_most st 1 ~bound:t0 with
+    | Some (v, t) ->
+        Alcotest.(check string) (name ^ ": other version untouched") "init" (bs v);
+        check_bool (name ^ ": other version's stamp") true (Tstamp.equal t t0)
+    | None -> Alcotest.fail (name ^ ": initial version lost")
+  in
+  check_origin "register"
+    (fun st init ->
+      Versioned_store.register st 1 ~klass:Versioned_store.Local ~cap:0 ~init)
+    ~t0:Tstamp.zero;
+  check_origin "insert_local"
+    (fun st init -> Versioned_store.insert_local st 1 init ~tmp:(tmp 5))
+    ~t0:(tmp 5);
+  check_origin "registered"
+    (fun st init ->
+      Versioned_store.register st 1 ~klass:Versioned_store.Registered ~cap:8 ~init)
+    ~t0:Tstamp.zero
+
+(* A [Local] object holding a 64-byte value: the inline two-version
+   entry (5 words), one shared copy of the value (10 words) and the
+   zero stamp (3 words). Re-boxing the versions or copying the value
+   per version breaks this. *)
+let local_object_words_max = 18
+
+let test_store_local_footprint () =
+  let _, st = make_store () in
+  let words () = Obj.reachable_words (Obj.repr st) in
+  let before = words () in
+  Versioned_store.register st 1 ~klass:Versioned_store.Local ~cap:0
+    ~init:(Bytes.make 64 'v');
+  (* The hashtable's bucket cell for the new binding: 3 fields + header. *)
+  let bucket_words = 4 in
+  let words = words () - before - bucket_words in
+  if words > local_object_words_max then
+    Alcotest.failf "a 64-byte Local object takes %d words (max %d)" words
+      local_object_words_max
 
 (* {1 Update_log} *)
 
@@ -518,6 +590,221 @@ let log_gap_migration_prop =
            ignore (Update_log.oids_in_range log ~from:(tmp cut) ~upto:(tmp 30));
            false
          with Invalid_argument _ -> true)
+
+(* A list-based reference update log: a plain queue with the documented
+   semantics, which the packed ring must match observable for
+   observable. *)
+module Log_model = struct
+  type t = {
+    capacity : int;
+    mutable entries : (Tstamp.t * int) list;  (* oldest first *)
+    mutable trunc : Tstamp.t;
+    mutable last : Tstamp.t;
+  }
+
+  let create ~capacity =
+    { capacity; entries = []; trunc = Tstamp.zero; last = Tstamp.zero }
+
+  let append m tmp oid =
+    if Tstamp.(m.last < tmp) then m.last <- tmp;
+    m.entries <- m.entries @ [ (tmp, oid) ];
+    while List.length m.entries > m.capacity do
+      match m.entries with
+      | (t, _) :: rest ->
+          if Tstamp.(m.trunc < t) then m.trunc <- t;
+          m.entries <- rest
+      | [] -> assert false
+    done
+
+  let note_gap m ~upto = if Tstamp.(m.trunc < upto) then m.trunc <- upto
+
+  let truncate m ~upto =
+    let kept = List.filter (fun (t, _) -> Tstamp.(upto < t)) m.entries in
+    let dropped = List.length m.entries - List.length kept in
+    m.entries <- kept;
+    if Tstamp.(m.trunc < upto) then m.trunc <- upto;
+    dropped
+
+  let covers m ~from = Tstamp.(m.trunc < from)
+
+  let distinct m keep =
+    let seen = Hashtbl.create 8 in
+    List.filter_map
+      (fun (t, oid) ->
+        if keep t && not (Hashtbl.mem seen oid) then begin
+          Hashtbl.add seen oid ();
+          Some oid
+        end
+        else None)
+      m.entries
+
+  let oids_in_range m ~from ~upto =
+    if not (covers m ~from) then invalid_arg "oids_in_range";
+    distinct m (fun t -> Tstamp.(from <= t && t <= upto))
+
+  let oids_after m ~after ~upto =
+    if Tstamp.(after < m.trunc) then invalid_arg "oids_after";
+    distinct m (fun t -> Tstamp.(after < t && t <= upto))
+end
+
+type log_op =
+  | Append of int * int * int  (* clock jitter, uid, oid *)
+  | Truncate of int  (* cut, relative to the current clock *)
+  | Gap of int
+
+let pp_log_op = function
+  | Append (j, u, o) -> Printf.sprintf "append(%+d.%d,%d)" j u o
+  | Truncate d -> Printf.sprintf "truncate(%+d)" d
+  | Gap d -> Printf.sprintf "gap(%+d)" d
+
+(* What a model run reached, so a pinned sequence can show it covers
+   the ring's hard cases. A cut "wraps" when the retained entries
+   straddle the end of the ring: after [overflows] drops at full
+   capacity the oldest entry sits at slot [overflows mod capacity]. *)
+type log_run = {
+  agreed : bool;
+  overflows : int;
+  non_prefix_cuts : int;  (* truncations that kept an entry older than one they dropped *)
+  wrapped_non_prefix_cuts : int;
+}
+
+(* Run [ops] against the ring and the model side by side, comparing
+   every observable after each step. Appends advance a clock by one and
+   jitter around it, so they arrive slightly out of order and repeat
+   timestamps; cuts land behind the clock, so truncation drops a
+   non-prefix subset whenever appends were out of order. *)
+let run_log_model ~capacity ops =
+  let log = Update_log.create ~capacity and m = Log_model.create ~capacity in
+  let clock = ref 1 and agreed = ref true and overflows = ref 0 in
+  let non_prefix_cuts = ref 0 and wrapped_non_prefix_cuts = ref 0 in
+  let stamp c u = Tstamp.make ~clock:(max 0 c) ~uid:u in
+  let agree f g =
+    let run h = match h () with v -> Some v | exception Invalid_argument _ -> None in
+    run f = run g
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Append (j, u, oid) ->
+          if List.length m.Log_model.entries = capacity then incr overflows;
+          incr clock;
+          Update_log.append log (stamp (!clock + j) u) oid;
+          Log_model.append m (stamp (!clock + j) u) oid
+      | Truncate d ->
+          let upto = stamp (!clock - d) 0 in
+          let before = m.Log_model.entries in
+          let dropped = List.map (fun (t, _) -> Tstamp.(t <= upto)) before in
+          let rec non_prefix = function
+            | false :: rest -> List.mem true rest
+            | true :: rest -> non_prefix rest
+            | [] -> false
+          in
+          if non_prefix dropped then begin
+            incr non_prefix_cuts;
+            if (!overflows mod capacity) + List.length before > capacity then
+              incr wrapped_non_prefix_cuts
+          end;
+          if Update_log.truncate log ~upto <> Log_model.truncate m ~upto then
+            agreed := false
+      | Gap d ->
+          Update_log.note_gap log ~upto:(stamp (!clock - d) 0);
+          Log_model.note_gap m ~upto:(stamp (!clock - d) 0));
+      let probes = List.map (fun d -> stamp (!clock - d) 1) [ 0; 2; 5; 12; 40 ] in
+      let queries =
+        List.concat_map
+          (fun from ->
+            List.concat_map
+              (fun upto ->
+                [
+                  agree
+                    (fun () -> Update_log.oids_in_range log ~from ~upto)
+                    (fun () -> Log_model.oids_in_range m ~from ~upto);
+                  agree
+                    (fun () -> Update_log.oids_after log ~after:from ~upto)
+                    (fun () -> Log_model.oids_after m ~after:from ~upto);
+                ])
+              [ from; stamp (!clock + 5) 0 ])
+          probes
+      in
+      if
+        not
+          (Update_log.length log = List.length m.Log_model.entries
+          && Tstamp.equal (Update_log.last_tmp log) m.Log_model.last
+          && Tstamp.equal (Update_log.truncation log) m.Log_model.trunc
+          && List.for_all
+               (fun from -> Update_log.covers log ~from = Log_model.covers m ~from)
+               probes
+          && List.for_all Fun.id queries)
+      then agreed := false)
+    ops;
+  {
+    agreed = !agreed;
+    overflows = !overflows;
+    non_prefix_cuts = !non_prefix_cuts;
+    wrapped_non_prefix_cuts = !wrapped_non_prefix_cuts;
+  }
+
+let log_ring_model_prop =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 200 >>= fun capacity ->
+      let op =
+        frequency
+          [
+            (12, map3 (fun j u o -> Append (j, u, o)) (int_range (-3) 3) (int_bound 2)
+                   (int_bound 30));
+            (1, map (fun d -> Truncate d) (int_range (-2) 60));
+            (1, map (fun d -> Gap d) (int_range 0 80));
+          ]
+      in
+      list_size (int_range 0 (3 * capacity)) op >|= fun ops -> (capacity, ops))
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity (String.concat " " (List.map pp_log_op ops))
+  in
+  QCheck.Test.make ~name:"packed log = list-based queue model" ~count:200
+    (QCheck.make ~print gen)
+    (fun (capacity, ops) -> (run_log_model ~capacity ops).agreed)
+
+let test_log_ring_wrap () =
+  (* The shapes the ring has to get right, pinned: growth past the
+     first 64 slots, wrap-around after overflow, a non-prefix truncation
+     across the wrap point, and overflow again after it. [x; y] are an
+     in-order entry followed by one stamped behind it; cutting between
+     them keeps [x] and drops [y]. *)
+  let appends n = List.init n (fun i -> Append (0, 0, i)) in
+  let x_y_cut = [ Append (0, 0, 100); Append (-3, 0, 101); Truncate 2 ] in
+  List.iter
+    (fun capacity ->
+      let ops =
+        appends (capacity + 1) @ x_y_cut @ appends (capacity + 5) @ x_y_cut @ [ Gap 2 ]
+        @ appends 7
+      in
+      let r = run_log_model ~capacity ops in
+      let name what = Printf.sprintf "capacity %d: %s" capacity what in
+      check_bool (name "agrees with the model") true r.agreed;
+      (* The first [appends] and [x; y] overflow three times. *)
+      check_bool (name "overflowed again after the wrapped cut") true (r.overflows > 3);
+      (* One slot cannot hold an entry older than another. *)
+      if capacity > 1 then begin
+        check_int (name "non-prefix cuts") 2 r.non_prefix_cuts;
+        check_bool (name "a non-prefix cut straddles the wrap") true
+          (r.wrapped_non_prefix_cuts > 0)
+      end)
+    [ 1; 2; 3; 63; 64; 65; 100; 129; 200 ]
+
+(* A full log costs three unboxed words per entry, plus a constant. *)
+let test_log_footprint () =
+  let n = 10_000 in
+  let log = Update_log.create ~capacity:n in
+  for i = 1 to n do
+    Update_log.append log (tmp i) i
+  done;
+  check_int "filled to capacity" n (Update_log.length log);
+  let words = Obj.reachable_words (Obj.repr log) in
+  let per_entry = float_of_int words /. float_of_int n in
+  if per_entry > 3.1 then
+    Alcotest.failf "update log holds %.3f words per entry (max 3.1)" per_entry
 
 (* {1 Coord_mem / Statesync_mem} *)
 
@@ -1820,6 +2107,9 @@ let suite =
         tc "remote read vs write race" test_store_remote_read_write_race;
         tc "out-of-order writes" test_store_out_of_order_writes;
         Qc.test store_interleaving_prop;
+        tc "initial value is copied once, never written through"
+          test_store_initial_value_copied_once;
+        tc "local object footprint" test_store_local_footprint;
       ] );
     ( "core.update_log",
       [
@@ -1834,6 +2124,9 @@ let suite =
         Qc.test log_truncate_model_prop;
         Qc.test log_range_model_prop;
         Qc.test log_gap_migration_prop;
+        Qc.test log_ring_model_prop;
+        tc "ring growth, wrap-around and overflow" test_log_ring_wrap;
+        tc "footprint per entry" test_log_footprint;
       ] );
     ( "core.memories",
       [ tc "coord_mem" test_coord_mem; tc "statesync_mem" test_statesync_mem ] );

@@ -195,6 +195,7 @@ type ('req, 'resp) t = {
   mutable r_coord_mb : coord_job Mailbox.t option;
       (* when set, [announce] hands fan-outs to the coordination-writer
          fiber instead of posting inline (pipeline mode) *)
+  mutable r_announced : Tstamp.t;  (* newest tmp this incarnation announced *)
   mutable r_ckpt : checkpoint option;  (* latest checkpoint (durability) *)
   mutable r_compact : (upto:Tstamp.t -> int) option;
       (* multicast-log compaction hook, installed by System: compacts
@@ -246,6 +247,7 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_exec_delay = 0;
     r_tracer = None;
     r_coord_mb = None;
+    r_announced = Tstamp.zero;
     r_ckpt = None;
     r_compact = None;
     r_eng = Fabric.engine (Fabric.fabric_of node);
@@ -589,6 +591,7 @@ let announce_now r ~tmp ~dst ~stage =
    relies on — and because coordination posts to dead peers are dropped,
    never raised, so the writer cannot die on a crash. *)
 let announce r ~tmp ~dst ~stage =
+  if Tstamp.(r.r_announced < tmp) then r.r_announced <- tmp;
   match r.r_coord_mb with
   | Some mb -> Mailbox.send mb { cj_tmp = tmp; cj_dst = dst; cj_stage = stage }
   | None -> announce_now r ~tmp ~dst ~stage
@@ -772,6 +775,21 @@ let rec initiate_state_transfer_locked r ~failed_tmp ~cover =
     Engine.sleep r.r_cfg.Config.statesync_timeout_ns;
     initiate_state_transfer_locked r ~failed_tmp ~cover
   end
+  else
+    (* The adopted state includes every request up to [rid], and this
+       replica skips them all without announcing them. A peer in Phase
+       2 or 4 of a covered multi-partition request then counts this
+       replica as missing until a later announcement of ours passes
+       [rid]; if the traffic stops first, it waits forever. So when no
+       such announcement came within a state-transfer timeout, announce
+       the covered prefix done (Phase 4 reached) in every partition.
+       Slots still only move forward: every earlier announcement is
+       below [rid], and [announce] keeps the coordination writer's FIFO
+       order. *)
+    Fabric.spawn_on r.r_node (fun () ->
+        Engine.sleep r.r_cfg.Config.statesync_timeout_ns;
+        if Tstamp.(r.r_announced < rid) then
+          announce r ~tmp:rid ~dst:(List.init (Array.length r.r_peers) Fun.id) ~stage:2)
 
 (* [r_recovering] brackets the whole episode, retries included: the
    chaos driver reads it to keep crash injection inside the failure

@@ -48,7 +48,11 @@ val spawn : ?token:token -> ?name:string -> t -> (unit -> unit) -> unit
 
 val schedule : ?delay:Time_ns.t -> t -> (unit -> unit) -> unit
 (** [schedule ~delay t f] runs callback [f] (not a fiber: it must not
-    block) after [delay] (default 0). *)
+    block) after [delay] (default 0; a negative delay counts as 0).
+
+    Events run in [(at, seq)] order: by due time, then by the order in
+    which they were scheduled. So an event scheduled with delay 0 runs
+    after every event already queued for the current instant. *)
 
 val run : t -> unit
 (** Run until the event queue is empty. *)
@@ -57,7 +61,9 @@ val run_until : t -> Time_ns.t -> unit
 (** [run_until t horizon] runs events with time [<= horizon] and then
     sets the clock to [horizon]. If the event queue drains early the
     clock jumps to [horizon]; fibers parked on {!suspend} stay parked
-    (use {!live_fibers} in tests to detect unexpected deadlock). *)
+    (use {!live_fibers} in tests to detect unexpected deadlock). A
+    [horizon] behind the clock runs nothing and leaves the clock where
+    it is: the clock never moves backwards. *)
 
 val run_for : t -> Time_ns.t -> unit
 (** [run_for t d] is [run_until t (now t + d)]. *)

@@ -1,8 +1,9 @@
 (** Imperative binary min-heap.
 
-    Used by the engine as its event queue; exposed because tests and
-    other libraries (e.g. pending multicast messages ordered by
-    timestamp) reuse it. *)
+    No library uses it: the engine keeps its own event queue
+    ({!Engine}). It is kept for the benchmark's [sim.pq_push_pop_ns]
+    micro-timing and for the tests, whose reference model of the
+    engine's event order is built on it. *)
 
 type 'a t
 

@@ -99,6 +99,169 @@ let test_engine_run_until () =
   Engine.run eng;
   check_int "all iterations after run" 10 !hits
 
+let test_engine_run_until_behind () =
+  (* A horizon behind the clock runs nothing and leaves the clock, and
+     so the times of later schedules, where they were. *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  Engine.run_until eng 100;
+  Engine.schedule ~delay:10 eng (fun () -> log := Engine.now eng :: !log);
+  Engine.schedule eng (fun () -> log := Engine.now eng :: !log);
+  Engine.run_until eng 50;
+  check_int "clock unchanged" 100 (Engine.now eng);
+  check_int "nothing ran" 0 (List.length !log);
+  check_int "both still queued" 2 (Engine.pending_events eng);
+  Engine.run eng;
+  Alcotest.(check (list int)) "each runs at its own time" [ 100; 110 ] (List.rev !log)
+
+(* The engine's ordering contract written the plain way: one Prio_queue
+   of events ordered by (at, seq), seq counting schedules; [run_until]
+   with a horizon behind the clock does nothing. *)
+module Ref_engine = struct
+  type event = { at : int; seq : int; run : unit -> unit }
+  type t = { mutable clock : int; mutable seq : int; queue : event Prio_queue.t }
+
+  let create () =
+    {
+      clock = 0;
+      seq = 0;
+      queue =
+        Prio_queue.create ~cmp:(fun a b ->
+            match compare a.at b.at with 0 -> compare a.seq b.seq | c -> c);
+    }
+
+  let schedule ~delay t run =
+    t.seq <- t.seq + 1;
+    Prio_queue.push t.queue { at = t.clock + max 0 delay; seq = t.seq; run }
+
+  let step t =
+    match Prio_queue.pop t.queue with
+    | None -> false
+    | Some ev ->
+        t.clock <- ev.at;
+        ev.run ();
+        true
+
+  let now t = t.clock
+  let pending_events t = Prio_queue.length t.queue
+  let run t = while step t do () done
+
+  let run_until t horizon =
+    if horizon >= t.clock then begin
+      let rec loop () =
+        match Prio_queue.peek t.queue with
+        | Some ev when ev.at <= horizon ->
+            ignore (step t);
+            loop ()
+        | Some _ | None -> ()
+      in
+      loop ();
+      t.clock <- horizon
+    end
+
+  let pending_times t =
+    List.sort compare (List.map (fun ev -> ev.at) (Prio_queue.to_list t.queue))
+end
+
+(* A callback that logs itself and schedules its children, each after
+   its own delay. *)
+type callback = { label : int; children : (int * callback) list }
+
+type action =
+  | Schedule of int * callback  (* from outside [run] *)
+  | Until_event of int  (* run_until the time of the i-th pending event *)
+  | Until_behind of int  (* run_until [d] before the clock *)
+  | Until_ahead of int  (* run_until [d] past the clock *)
+
+(* Delays: negative, zero, one value that recurs, and spread values. *)
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [ (1, int_range (-3) (-1)); (3, return 0); (2, return 5); (2, int_range 1 20) ])
+
+let gen_script =
+  let open QCheck.Gen in
+  let label = ref 0 in
+  let tree =
+    fix
+      (fun self depth ->
+        let* children =
+          if depth = 0 then return []
+          else list_size (int_bound 3) (pair gen_delay (self (depth - 1)))
+        in
+        incr label;
+        return { label = !label; children })
+      3
+  in
+  list_size (int_range 1 12)
+    (frequency
+       [
+         (4, map2 (fun d cb -> Schedule (d, cb)) gen_delay tree);
+         (2, map (fun i -> Until_event i) (int_bound 8));
+         (1, map (fun d -> Until_behind d) (int_range 1 10));
+         (1, map (fun d -> Until_ahead d) (int_range 0 10));
+       ])
+
+let print_script script =
+  let rec cb { label; children } =
+    Printf.sprintf "%d[%s]" label
+      (String.concat " " (List.map (fun (d, c) -> Printf.sprintf "+%d:%s" d (cb c)) children))
+  in
+  String.concat "; "
+    (List.map
+       (function
+         | Schedule (d, c) -> Printf.sprintf "schedule +%d %s" d (cb c)
+         | Until_event i -> Printf.sprintf "until event %d" i
+         | Until_behind d -> Printf.sprintf "until now-%d" d
+         | Until_ahead d -> Printf.sprintf "until now+%d" d)
+       script)
+
+(* Run [script] then [run] on the engine and on the reference side by
+   side; each logs (now, label, pending events) per callback, and
+   (now, -1, pending events) after every step of the script. *)
+let engine_matches_reference script =
+  let eng = Engine.create () and reff = Ref_engine.create () in
+  let log_e = ref [] and log_r = ref [] in
+  let rec fire_e cb () =
+    log_e := (Engine.now eng, cb.label, Engine.pending_events eng) :: !log_e;
+    List.iter (fun (delay, c) -> Engine.schedule ~delay eng (fire_e c)) cb.children
+  in
+  let rec fire_r cb () =
+    log_r := (Ref_engine.now reff, cb.label, Ref_engine.pending_events reff) :: !log_r;
+    List.iter (fun (delay, c) -> Ref_engine.schedule ~delay reff (fire_r c)) cb.children
+  in
+  let mark () =
+    log_e := (Engine.now eng, -1, Engine.pending_events eng) :: !log_e;
+    log_r := (Ref_engine.now reff, -1, Ref_engine.pending_events reff) :: !log_r
+  in
+  let until h =
+    Engine.run_until eng h;
+    Ref_engine.run_until reff h
+  in
+  List.iter
+    (fun action ->
+      (match action with
+      | Schedule (delay, cb) ->
+          Engine.schedule ~delay eng (fire_e cb);
+          Ref_engine.schedule ~delay reff (fire_r cb)
+      | Until_event i -> (
+          match Ref_engine.pending_times reff with
+          | [] -> until (Ref_engine.now reff)
+          | times -> until (List.nth times (i mod List.length times)))
+      | Until_behind d -> until (Ref_engine.now reff - d)
+      | Until_ahead d -> until (Ref_engine.now reff + d));
+      mark ())
+    script;
+  Engine.run eng;
+  Ref_engine.run reff;
+  mark ();
+  !log_e = !log_r
+
+let engine_order_prop =
+  QCheck.Test.make ~name:"engine runs events in reference (at, seq) order" ~count:500
+    (QCheck.make ~print:print_script gen_script)
+    engine_matches_reference
+
 let test_engine_cancellation () =
   let eng = Engine.create () in
   let tok = Engine.new_token eng in
@@ -385,6 +548,8 @@ let suite =
         tc "sleep order" test_engine_sleep_order;
         tc "same-time fifo" test_engine_same_time_fifo;
         tc "run_until horizon" test_engine_run_until;
+        tc "run_until behind the clock" test_engine_run_until_behind;
+        Qc.test engine_order_prop;
         tc "cancellation" test_engine_cancellation;
         tc "cancel before start" test_engine_cancel_before_start;
         tc "determinism" test_engine_determinism;

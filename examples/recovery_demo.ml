@@ -20,7 +20,7 @@ let () =
     let c = Config.default ~partitions:2 ~replicas:3 in
     (* Majority-only coordination: the paper's anti-lagger grace delay
        is off, so a slow replica really can be left behind. *)
-    { c with Config.wait_phase2 = Config.Majority; wait_phase4 = Config.Majority }
+    { c with Config.wait_phase4 = Config.Majority }
   in
   let sys = System.create eng ~cfg ~app:(Kv_app.app ~keys:4 ~partitions:2 ~init:0L) in
   System.start sys;

@@ -156,21 +156,25 @@ let divergence sys =
             (fun r ->
               List.iter
                 (fun oid ->
-                  let va, ta = Versioned_store.get (Replica.store first) oid in
-                  let vb, tb = Versioned_store.get (Replica.store r) oid in
-                  if not (Bytes.equal va vb) then
-                    note
-                      "partition %d: replica %d disagrees with replica %d on oid %d \
-                       (%Ld@%s applied %s vs %Ld@%s applied %s)"
-                      p (Replica.idx r) (Replica.idx first) (Oid.to_int oid)
-                      (Bytes.get_int64_le vb 0)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp tb)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp
-                         (Replica.last_req r))
-                      (Bytes.get_int64_le va 0)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp ta)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp
-                         (Replica.last_req first)))
+                  if not (Versioned_store.mem (Replica.store r) oid) then
+                    note "partition %d: replica %d lacks oid %d, which replica %d holds"
+                      p (Replica.idx r) (Oid.to_int oid) (Replica.idx first)
+                  else
+                    let va, ta = Versioned_store.get (Replica.store first) oid in
+                    let vb, tb = Versioned_store.get (Replica.store r) oid in
+                    if not (Bytes.equal va vb) then
+                      note
+                        "partition %d: replica %d disagrees with replica %d on oid %d \
+                         (%Ld@%s applied %s vs %Ld@%s applied %s)"
+                        p (Replica.idx r) (Replica.idx first) (Oid.to_int oid)
+                        (Bytes.get_int64_le vb 0)
+                        (Format.asprintf "%a" Heron_multicast.Tstamp.pp tb)
+                        (Format.asprintf "%a" Heron_multicast.Tstamp.pp
+                           (Replica.last_req r))
+                        (Bytes.get_int64_le va 0)
+                        (Format.asprintf "%a" Heron_multicast.Tstamp.pp ta)
+                        (Format.asprintf "%a" Heron_multicast.Tstamp.pp
+                           (Replica.last_req first)))
                 (Versioned_store.registered_oids (Replica.store first)))
             rest)
     (System.replicas sys);

@@ -46,12 +46,9 @@ type t = {
   profile : Heron_rdma.Profile.t;
   mcast : Heron_multicast.Ramcast.config;
   costs : costs;
-  wait_phase2 : coord_wait;
   wait_phase4 : coord_wait;
-  log_capacity : int;
   statesync_timeout_ns : int;
   addr_query_ns : int;
-  coord_batching : bool;
   reconfig : reconfig;
   pipeline : pipeline;
   durability : durability;
@@ -117,12 +114,9 @@ let default ~partitions ~replicas =
     profile = Heron_rdma.Profile.default;
     mcast = Heron_multicast.Ramcast.default_config;
     costs = default_costs;
-    wait_phase2 = Majority;
     wait_phase4 = Grace 5_000;
-    log_capacity = 100_000;
     statesync_timeout_ns = 5_000_000;
     addr_query_ns = 4_000;
-    coord_batching = true;
     reconfig = default_reconfig;
     pipeline = default_pipeline;
     durability = default_durability;

@@ -159,9 +159,10 @@ type t = {
   profile : Heron_rdma.Profile.t;
   mcast : Heron_multicast.Ramcast.config;
   costs : costs;
-  wait_phase2 : coord_wait;
   wait_phase4 : coord_wait;
-  log_capacity : int;  (** update-log entries retained per replica *)
+      (** Phase 4's policy after its majority. Phase 2 has no knob: it
+          always proceeds on a majority per involved partition (the
+          paper's item 1); only Phase 4 adds the anti-lagger grace. *)
   statesync_timeout_ns : int;
       (** per-candidate timeout in donor selection (Algorithm 3); must
           exceed the worst-case transfer time or backup candidates start
@@ -169,13 +170,6 @@ type t = {
   addr_query_ns : int;
       (** modelled cost of the one-time remote object address query
           (Algorithm 2 lines 8-13) *)
-  coord_batching : bool;
-      (** post coordination and state-sync fan-outs as doorbell-batched
-          WQE lists ({!Heron_rdma.Qp.Doorbell}): one slot image encoded
-          per fan-out and one doorbell per coalesce group instead of one
-          [write_post] (and one [post_ns] charge) per destination
-          replica. On by default; turn off to reproduce the unbatched
-          cost model (the ablation in EXPERIMENTS.md compares both). *)
   reconfig : reconfig;
       (** live repartitioning (DESIGN.md §10); disabled by default *)
   pipeline : pipeline;
@@ -233,6 +227,5 @@ val initial_shards : t -> Heron_topology.Shard_map.t option
     range. *)
 
 val default : partitions:int -> replicas:int -> t
-(** Grace-based phase-4 coordination, majority phase-2, calibrated
-    defaults. Raises [Invalid_argument] for non-positive or even
-    replica counts. *)
+(** Grace-based phase-4 coordination, calibrated defaults. Raises
+    [Invalid_argument] for non-positive or even replica counts. *)

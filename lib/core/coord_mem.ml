@@ -45,6 +45,15 @@ let encode_slot tmp ~stage =
   Bytes.set_int64_le b 8 (Int64.of_int stage);
   b
 
+let merge_slot t ~part ~idx img =
+  let off = off t ~part ~idx in
+  let tmp = Tstamp.of_int64 (Bytes.get_int64_le img 0) in
+  let stage = Int64.to_int (Bytes.get_int64_le img 8) in
+  let cur = Tstamp.of_int64 (Memory.get_i64 t.region ~off) in
+  let cur_stage = Int64.to_int (Memory.get_i64 t.region ~off:(off + 8)) in
+  if Tstamp.(cur < tmp) || (Tstamp.equal cur tmp && cur_stage < stage) then
+    write_local t ~part ~idx tmp ~stage
+
 let frontier_off t ~part ~idx = ((part * t.replicas) + idx) * frontier_bytes
 
 let frontier_addr t ~part ~idx =

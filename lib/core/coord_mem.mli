@@ -38,6 +38,12 @@ val write_local : t -> part:int -> idx:int -> Tstamp.t -> stage:int -> unit
 val encode_slot : Tstamp.t -> stage:int -> bytes
 (** Wire image of a slot, for remote writes. *)
 
+val merge_slot : t -> part:int -> idx:int -> bytes -> unit
+(** Store a slot image (as read from the slot owner's own memory) into
+    this local memory if it is ahead of the local copy. Slots only move
+    forward, so a merged image is what the owner's next announcement
+    would have left there anyway. *)
+
 (** [reached t ~part ~idx ~tmp ~stage] holds when the slot shows that
     the replica either coordinated at [>= stage] for exactly this
     request, or has already moved past it (its latest coordinated

@@ -196,6 +196,9 @@ type ('req, 'resp) t = {
       (* when set, [announce] hands fan-outs to the coordination-writer
          fiber instead of posting inline (pipeline mode) *)
   mutable r_announced : Tstamp.t;  (* newest tmp this incarnation announced *)
+  mutable r_coord_since : int;
+      (* start of the coordination wait in progress, -1 when none; the
+         delivery loop runs at most one at a time *)
   mutable r_ckpt : checkpoint option;  (* latest checkpoint (durability) *)
   mutable r_compact : (upto:Tstamp.t -> int) option;
       (* multicast-log compaction hook, installed by System: compacts
@@ -208,6 +211,9 @@ type ('req, 'resp) t = {
 exception Lagging
 (* Internal: a remote read found no version older than the current
    request (Algorithm 2 line 23). *)
+
+(* Update-log entries a replica retains before the oldest drop out. *)
+let update_log_entries = 100_000
 
 let create ~cfg ~app ~part ~idx ~node ~store_region_size =
   let reg = cfg.Config.metrics in
@@ -227,7 +233,7 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_store = store;
     r_coord = coord;
     r_sync = Statesync_mem.create node ~replicas:cfg.Config.replicas;
-    r_log = Update_log.create ~capacity:cfg.Config.log_capacity;
+    r_log = Update_log.create ~capacity:update_log_entries;
     r_inbox = Mailbox.create ();
     r_last_req = Tstamp.zero;
     r_last_applied = Tstamp.zero;
@@ -248,6 +254,7 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_tracer = None;
     r_coord_mb = None;
     r_announced = Tstamp.zero;
+    r_coord_since = -1;
     r_ckpt = None;
     r_compact = None;
     r_eng = Fabric.engine (Fabric.fabric_of node);
@@ -411,6 +418,28 @@ let wait_mem_deadline r pred ~deadline =
         Signal.broadcast (Fabric.mem_signal r.r_node));
   wait_mem r (fun () -> pred () || Engine.now r.r_eng >= deadline)
 
+(* Write one slot image into every replica of every partition in
+   [parts]: our own copy is the raw local store [local], every other
+   copy one WQE to [addr q] carrying [payload]. All WQEs go out as one
+   doorbell-batched list — one [post_ns] per coalesce group — and share
+   the payload, encoded once by the caller ([Doorbell.ring] snapshots
+   it at post time). [charge] adds the [coord_post_ns] WQE-preparation
+   cost once per fan-out that has a remote WQE; announce, lease and
+   frontier fan-outs pay it, state-sync fan-outs do not. *)
+let fan_out r ~parts ~local ~addr ~payload ~charge =
+  let batch = Qp.Doorbell.create () in
+  List.iter
+    (fun h ->
+      for i = 0 to n_replicas r - 1 do
+        let q = peer r ~part:h ~idx:i in
+        if q == r then local ()
+        else Qp.Doorbell.add batch (qp_to r q.r_node) (addr q) payload
+      done)
+    parts;
+  if charge && Qp.Doorbell.length batch > 0 then
+    Engine.consume (costs r).Config.coord_post_ns;
+  Qp.Doorbell.ring batch
+
 (* {1 Read leases (DESIGN.md §14)} *)
 
 let fast_reads r = r.r_cfg.Config.fast_reads
@@ -424,20 +453,11 @@ let fast_reads r = r.r_cfg.Config.fast_reads
    this very node may be blocked on it. *)
 let lease_publish r tmp =
   let epoch = Fabric.epoch r.r_node in
-  let payload = Read_lease.encode_copy tmp ~epoch in
-  let batch = Qp.Doorbell.create () in
-  for i = 0 to n_replicas r - 1 do
-    let q = peer r ~part:r.r_part ~idx:i in
-    if q == r then Read_lease.write_copy_local r.r_lease ~idx:r.r_idx tmp ~epoch
-    else
-      Qp.Doorbell.add batch (qp_to r q.r_node)
-        (Read_lease.copy_addr q.r_lease ~idx:r.r_idx)
-        payload
-  done;
-  if Qp.Doorbell.length batch > 0 then begin
-    Engine.consume (costs r).Config.coord_post_ns;
-    Qp.Doorbell.ring batch
-  end;
+  fan_out r ~parts:[ r.r_part ]
+    ~local:(fun () -> Read_lease.write_copy_local r.r_lease ~idx:r.r_idx tmp ~epoch)
+    ~addr:(fun q -> Read_lease.copy_addr q.r_lease ~idx:r.r_idx)
+    ~payload:(Read_lease.encode_copy tmp ~epoch)
+    ~charge:true;
   Signal.broadcast (Fabric.mem_signal r.r_node)
 
 (* Publish the current applied frontier if fast reads are on. May
@@ -540,49 +560,14 @@ let stable_frontier r ~now =
 (* {1 Coordination (Algorithm 1, Phases 2 and 4)} *)
 
 (* Write (tmp, stage) into our slot of every replica of every involved
-   partition; self-coordination is a local write. The slot image is
-   encoded once per fan-out ([write_post] and [Doorbell.ring] snapshot
-   payloads at post time, so sharing the buffer is safe). With
-   [coord_batching] all remote slots go out as one doorbell-batched WQE
-   list — one [post_ns] per coalesce group plus one [coord_post_ns]
-   WQE-preparation charge per fan-out — instead of one full post per
-   destination replica. *)
+   partition; self-coordination is a local write. *)
 let announce_now r ~tmp ~dst ~stage =
-  let payload = Coord_mem.encode_slot tmp ~stage in
-  if r.r_cfg.Config.coord_batching then begin
-    let batch = Qp.Doorbell.create () in
-    List.iter
-      (fun h ->
-        for i = 0 to n_replicas r - 1 do
-          let q = peer r ~part:h ~idx:i in
-          if q == r then
-            Coord_mem.write_local r.r_coord ~part:r.r_part ~idx:r.r_idx tmp ~stage
-          else
-            Qp.Doorbell.add batch (qp_to r q.r_node)
-              (Coord_mem.slot_addr q.r_coord ~part:r.r_part ~idx:r.r_idx)
-              payload
-        done)
-      dst;
-    if Qp.Doorbell.length batch > 0 then begin
-      Engine.consume (costs r).Config.coord_post_ns;
-      Qp.Doorbell.ring batch
-    end
-  end
-  else
-    List.iter
-      (fun h ->
-        for i = 0 to n_replicas r - 1 do
-          let q = peer r ~part:h ~idx:i in
-          if q == r then
-            Coord_mem.write_local r.r_coord ~part:r.r_part ~idx:r.r_idx tmp ~stage
-          else begin
-            Engine.consume (costs r).Config.coord_post_ns;
-            Qp.write_post (qp_to r q.r_node)
-              (Coord_mem.slot_addr q.r_coord ~part:r.r_part ~idx:r.r_idx)
-              payload
-          end
-        done)
-      dst
+  fan_out r ~parts:dst
+    ~local:(fun () ->
+      Coord_mem.write_local r.r_coord ~part:r.r_part ~idx:r.r_idx tmp ~stage)
+    ~addr:(fun q -> Coord_mem.slot_addr q.r_coord ~part:r.r_part ~idx:r.r_idx)
+    ~payload:(Coord_mem.encode_slot tmp ~stage)
+    ~charge:true
 
 (* With the pipeline's coordination writer running, hand the fan-out to
    it; otherwise post inline. Delegation is safe because the writer is a
@@ -622,6 +607,7 @@ let coord_writer_loop r mb =
    observation covers only those remaining slots. *)
 let coordinate r ~tmp ~dst ~stage ~(wait : Config.coord_wait) =
   let t_begin = Engine.now r.r_eng in
+  r.r_coord_since <- t_begin;
   announce r ~tmp ~dst ~stage;
   let n = n_replicas r in
   let track = List.map (fun h -> (h, Array.make n false, ref 0)) dst in
@@ -664,37 +650,55 @@ let coordinate r ~tmp ~dst ~stage ~(wait : Config.coord_wait) =
         wait_mem r (reached_upto n);
         Heron_stats.Sample_set.add r.r_stats.st_delay (Engine.now r.r_eng - t0)
       end);
+  r.r_coord_since <- -1;
   let hist =
     if stage = 1 then r.r_obs.ob_phase2_wait else r.r_obs.ob_phase4_wait
   in
   Heron_obs.Metrics.observe hist (Engine.now r.r_eng - t_begin)
 
+(* A restarted replica's coordination memory starts zeroed, and every
+   announcement a peer posted while it was down was dropped. Entries
+   the multicast redelivers after the restart may be ones the peers
+   already coordinated; once traffic stops, no later announcement lands
+   to pass them, and the replica would wait in their Phase 2 forever.
+   Each peer keeps its own latest announcement in its own memory, so
+   one read per peer recovers everything missed: slots only move
+   forward, and whatever a peer announces after the restart lands
+   directly. The watch acts only on a wait stuck for a whole
+   state-transfer timeout, so a rejoiner kept moving by traffic never
+   reads. *)
+let refresh_coordination r =
+  Array.iter
+    (Array.iter (fun q ->
+         if q != r then
+           match
+             Qp.read (qp_to r q.r_node)
+               (Coord_mem.slot_addr q.r_coord ~part:q.r_part ~idx:q.r_idx)
+               ~len:Coord_mem.slot_bytes
+           with
+           | img -> Coord_mem.merge_slot r.r_coord ~part:q.r_part ~idx:q.r_idx img
+           | exception Qp.Rdma_exception _ -> ()))
+    r.r_peers;
+  Signal.broadcast (Fabric.mem_signal r.r_node)
+
+let watch_coordination r =
+  let timeout = r.r_cfg.Config.statesync_timeout_ns in
+  let rec loop () =
+    Engine.sleep timeout;
+    if r.r_coord_since >= 0 && Engine.now r.r_eng - r.r_coord_since >= timeout then
+      refresh_coordination r;
+    loop ()
+  in
+  loop ()
+
 (* Write one statesync slot image into every replica of the group (self
-   included), doorbell-batched under [coord_batching]; the image is
-   encoded once and shared by all WQEs. *)
+   included). *)
 let sync_fanout r ~slot_idx tmp ~status =
-  let payload = Statesync_mem.encode_slot tmp ~status in
-  if r.r_cfg.Config.coord_batching then begin
-    let batch = Qp.Doorbell.create () in
-    for i = 0 to n_replicas r - 1 do
-      let q = peer r ~part:r.r_part ~idx:i in
-      if q == r then Statesync_mem.write_local r.r_sync ~idx:slot_idx tmp ~status
-      else
-        Qp.Doorbell.add batch (qp_to r q.r_node)
-          (Statesync_mem.slot_addr q.r_sync ~idx:slot_idx)
-          payload
-    done;
-    Qp.Doorbell.ring batch
-  end
-  else
-    for i = 0 to n_replicas r - 1 do
-      let q = peer r ~part:r.r_part ~idx:i in
-      if q == r then Statesync_mem.write_local r.r_sync ~idx:slot_idx tmp ~status
-      else
-        Qp.write_post (qp_to r q.r_node)
-          (Statesync_mem.slot_addr q.r_sync ~idx:slot_idx)
-          payload
-    done
+  fan_out r ~parts:[ r.r_part ]
+    ~local:(fun () -> Statesync_mem.write_local r.r_sync ~idx:slot_idx tmp ~status)
+    ~addr:(fun q -> Statesync_mem.slot_addr q.r_sync ~idx:slot_idx)
+    ~payload:(Statesync_mem.encode_slot tmp ~status)
+    ~charge:false
 
 (* {1 State transfer (Algorithm 3)} *)
 
@@ -1015,35 +1019,12 @@ let statesync_watcher r =
 (* Fan the checkpoint frontier out to every replica of our partition
    (self-write local), exactly like a coordination announce. *)
 let publish_frontier r tmp =
-  let payload = Coord_mem.encode_frontier tmp in
-  if r.r_cfg.Config.coord_batching then begin
-    let batch = Qp.Doorbell.create () in
-    for i = 0 to n_replicas r - 1 do
-      let q = peer r ~part:r.r_part ~idx:i in
-      if q == r then
-        Coord_mem.write_frontier_local r.r_coord ~part:r.r_part ~idx:r.r_idx tmp
-      else
-        Qp.Doorbell.add batch (qp_to r q.r_node)
-          (Coord_mem.frontier_addr q.r_coord ~part:r.r_part ~idx:r.r_idx)
-          payload
-    done;
-    if Qp.Doorbell.length batch > 0 then begin
-      Engine.consume (costs r).Config.coord_post_ns;
-      Qp.Doorbell.ring batch
-    end
-  end
-  else
-    for i = 0 to n_replicas r - 1 do
-      let q = peer r ~part:r.r_part ~idx:i in
-      if q == r then
-        Coord_mem.write_frontier_local r.r_coord ~part:r.r_part ~idx:r.r_idx tmp
-      else begin
-        Engine.consume (costs r).Config.coord_post_ns;
-        Qp.write_post (qp_to r q.r_node)
-          (Coord_mem.frontier_addr q.r_coord ~part:r.r_part ~idx:r.r_idx)
-          payload
-      end
-    done
+  fan_out r ~parts:[ r.r_part ]
+    ~local:(fun () ->
+      Coord_mem.write_frontier_local r.r_coord ~part:r.r_part ~idx:r.r_idx tmp)
+    ~addr:(fun q -> Coord_mem.frontier_addr q.r_coord ~part:r.r_part ~idx:r.r_idx)
+    ~payload:(Coord_mem.encode_frontier tmp)
+    ~charge:true
 
 (* Snapshot the whole store as of [r_last_applied], in a single
    event-loop turn (no suspension points) — the same consistency
@@ -1440,7 +1421,7 @@ let exec_single r req ~tmp ~on_applied =
    failed remote read, Algorithm 3. *)
 let exec_multi r req ~tmp ~dst ~on_applied =
   let t0 = Engine.now r.r_eng in
-  coordinate r ~tmp ~dst ~stage:1 ~wait:r.r_cfg.Config.wait_phase2;
+  coordinate r ~tmp ~dst ~stage:1 ~wait:Config.Majority;
   let t1 = Engine.now r.r_eng in
   trace r ~name:"phase2" ~tmp ~start:t0 t1;
   req_span r req ~stage:"phase2" ~start:t0 t1;
@@ -1513,7 +1494,7 @@ let exec_migration r mg ~tmp ~dst ~on_applied =
              ~start (Engine.now r.r_eng))
     | _ -> ()
   in
-  coordinate r ~tmp ~dst ~stage:1 ~wait:r.r_cfg.Config.wait_phase2;
+  coordinate r ~tmp ~dst ~stage:1 ~wait:Config.Majority;
   mg_span "reshard.freeze" ~start:t0;
   if r.r_part = mg.mg_dst then begin
     let t_boot = Engine.now r.r_eng in

@@ -156,6 +156,16 @@ val force_state_transfer :
     empty, everything must ship) with [cover] at the group's dispatch
     horizon. Blocks the calling fiber until the transfer completes. *)
 
+val watch_coordination : ('req, 'resp) t -> unit
+(** Restart companion; never returns, so spawn it on the replica's
+    node. Announcements peers posted while the replica was down were
+    dropped, and without them it can wait forever in Phase 2 of a
+    redelivered entry the peers already coordinated. Whenever a
+    coordination wait has made no progress for a state-transfer
+    timeout, read every peer's own slot from the peer's memory and keep
+    it where it is ahead of the local copy (one RDMA read per live
+    peer). *)
+
 val update_log : ('req, 'resp) t -> Update_log.t
 (** The replica's update log (tests and the Figure 8 experiment). *)
 

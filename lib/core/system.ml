@@ -331,6 +331,7 @@ let restart_replica t ~part ~idx =
   Fabric.spawn_on node (fun () ->
       Replica.force_state_transfer fresh ~failed_tmp:earliest;
       Replica.start fresh;
+      Fabric.spawn_on node (fun () -> Replica.watch_coordination fresh);
       (* Grant only after the transfer: a lease granted to a replica
          still adopting state would have writers commit-waiting on a
          frontier it cannot publish yet. *)

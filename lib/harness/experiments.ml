@@ -547,75 +547,6 @@ let ablation_parallel ?(quick = false) () =
     [ None; Some 1; Some 2; Some 4; Some 8 ];
   table
 
-(* {1 Coordination doorbell-batching ablation (extension)} *)
-
-(* Sum of the write_post doorbell charges across every QP of a run:
-   with [coord_batching] on, one doorbell covers a whole announce
-   fan-out, so this drops by roughly the per-peer fan-out factor. *)
-let write_post_charges reg =
-  List.fold_left
-    (fun acc e ->
-      match e.Heron_obs.Metrics.e_value with
-      | Heron_obs.Metrics.Counter_v n
-        when e.Heron_obs.Metrics.e_name = "rdma.verb.count"
-             && List.mem ("verb", "write_post") e.Heron_obs.Metrics.e_labels ->
-          acc + n
-      | _ -> acc)
-    0
-    (Heron_obs.Metrics.snapshot reg)
-
-let ablation_coord_batching ?(quick = false) () =
-  let table =
-    Table.make
-      ~title:
-        "Ablation: doorbell-batched coordination writes (Heron null, 2 partitions, \
-         all requests multi-partition)"
-      ~headers:
-        [
-          "coord batching";
-          "clients";
-          "tput (ktps)";
-          "p50 (us)";
-          "p99 (us)";
-          "write_post charges";
-        ]
-  in
-  List.iter
-    (fun coord_batching ->
-      List.iter
-        (fun clients ->
-          let reg = Heron_obs.Metrics.create () in
-          let eng = Engine.create ~seed:8 () in
-          let cfg =
-            let c = Config.default ~partitions:2 ~replicas:3 in
-            { c with Config.coord_batching; metrics = reg }
-          in
-          let sys = System.create eng ~cfg ~app:Driver.null_app in
-          System.start sys;
-          let rs =
-            Driver.run_system
-              ~warmup:(Time_ns.ms (if quick then 2 else 5))
-              ~measure:(Time_ns.ms (if quick then 8 else 20))
-              ~sys ~clients
-              ~gen:(fun ~client rng ->
-                ignore client;
-                ignore rng;
-                ({ Driver.nr_dst = []; nr_bytes = 200 }, Some [ 0; 1 ]))
-              ()
-          in
-          Table.add_row table
-            [
-              (if coord_batching then "on" else "off");
-              string_of_int clients;
-              kt rs.Driver.rs_throughput_tps;
-              Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 50.);
-              Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 99.);
-              string_of_int (write_post_charges reg);
-            ])
-        (if quick then [ 2 ] else [ 2; 16 ]))
-    [ false; true ];
-  table
-
 (* {1 Multicast batching ablation (extension)} *)
 
 let ablation_batching ?(quick = false) () =

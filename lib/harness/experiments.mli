@@ -51,13 +51,6 @@ val ablation_batching : ?quick:bool -> unit -> Table.t
     batches; our calibrated default does not) — throughput/latency of
     null requests with batching on and off at increasing load. *)
 
-val ablation_coord_batching : ?quick:bool -> unit -> Table.t
-(** Extension: doorbell-batched coordination writes (Qp.Doorbell via
-    [Config.coord_batching]) on an all-multi-partition null workload —
-    throughput, p50/p99 latency and total [rdma.verb.count
-    {verb="write_post"}] doorbell charges, with batching on and off.
-    EXPERIMENTS.md records the measured fan-out reduction. *)
-
 val micro_kv : ?quick:bool -> unit -> Table.t * Table.t
 (** Extension: key-value microbenchmarks in the style of the
     full-replication RDMA systems Heron's related work compares against

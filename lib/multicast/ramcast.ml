@@ -7,7 +7,6 @@ type config = {
   propose_bytes : int;
   ack_bytes : int;
   entry_hdr_bytes : int;
-  failover : bool;
   leader_check_ns : int;
   resubmit_delay_ns : int;
   batching : bool;
@@ -20,7 +19,6 @@ let default_config =
     propose_bytes = 32;
     ack_bytes = 16;
     entry_hdr_bytes = 48;
-    failover = true;
     leader_check_ns = 200_000;
     resubmit_delay_ns = 100_000;
     batching = false;
@@ -390,24 +388,20 @@ let propose t (m : 'a member) (mi : 'a msg_info) ~reuse =
       if gid <> m.m_gid then begin
         let dst_leader = current_leader t gid in
         post_ctrl t ~src:m.m_node ~dst:dst_leader ~bytes:t.cfg.propose_bytes prop;
-        if t.cfg.failover then
-          Array.iter
-            (fun (f : 'a member) ->
-              if f.m_idx <> dst_leader.m_idx then
-                post_ctrl t ~src:m.m_node ~dst:f ~bytes:t.cfg.propose_bytes prop)
-            t.groups.(gid).g_members
+        Array.iter
+          (fun (f : 'a member) ->
+            if f.m_idx <> dst_leader.m_idx then
+              post_ctrl t ~src:m.m_node ~dst:f ~bytes:t.cfg.propose_bytes prop)
+          t.groups.(gid).g_members
       end)
     mi.mi_dst;
   (* Durably stash our own proposal at our followers so a successor
      leader reuses the same value. *)
-  if t.cfg.failover then begin
-    let own = Propose { p_uid = mi.mi_uid; p_gid = m.m_gid; p_ts = ts } in
-    Array.iter
-      (fun (f : 'a member) ->
-        if f.m_idx <> m.m_idx then
-          post_ctrl t ~src:m.m_node ~dst:f ~bytes:t.cfg.propose_bytes own)
-      t.groups.(m.m_gid).g_members
-  end;
+  Array.iter
+    (fun (f : 'a member) ->
+      if f.m_idx <> m.m_idx then
+        post_ctrl t ~src:m.m_node ~dst:f ~bytes:t.cfg.propose_bytes prop)
+    t.groups.(m.m_gid).g_members;
   maybe_finalize t m p
 
 (* Follower: store a replicated entry; true if it was new. *)
@@ -669,7 +663,7 @@ let spawn_member_loops t (m : 'a member) =
         loop ()
       in
       loop ());
-  if t.cfg.failover then Fabric.spawn_on m.m_node (fun () -> monitor_leader t m)
+  Fabric.spawn_on m.m_node (fun () -> monitor_leader t m)
 
 let restart_member t ~gid ~idx ~deliver =
   let m = t.groups.(gid).g_members.(idx) in
@@ -773,12 +767,11 @@ let multicast ?(slots = 1) t ~from ~dst payload =
           attempt ()
     in
     attempt ();
-    if t.cfg.failover then
-      Array.iter
-        (fun (f : 'a member) ->
-          if f.m_idx <> t.groups.(gid).g_leader then
-            post_ctrl t ~src:from ~dst:f ~bytes (Submit mi))
-        t.groups.(gid).g_members
+    Array.iter
+      (fun (f : 'a member) ->
+        if f.m_idx <> t.groups.(gid).g_leader then
+          post_ctrl t ~src:from ~dst:f ~bytes (Submit mi))
+      t.groups.(gid).g_members
   in
   List.iter submit dst;
   uid

@@ -7,8 +7,7 @@
     fault-tolerant with per-group leaders:
 
     + a client writes the message to the leader of every destination
-      group (and, when failover support is on, to the followers too, as
-      RamCast does);
+      group and to its followers, as RamCast does;
     + each leader proposes a local logical-clock timestamp and exchanges
       proposals with the other destination groups' leaders;
     + the final timestamp is the maximum proposal; a message is
@@ -22,8 +21,8 @@
     Guarantees (paper Section II-B): validity, integrity, uniform
     agreement within the failure bound, uniform prefix order and uniform
     acyclic order; delivered timestamps are unique and monotone with
-    respect to the delivery order everywhere. Leader failover is
-    implemented in a simplified form (see DESIGN.md): followers detect a
+    respect to the delivery order everywhere. Leader failover is always
+    on, in a simplified form (see DESIGN.md): followers detect a
     dead leader, the lowest-index live member takes over, synchronises
     the replicated log from a majority, and re-proposes stashed
     messages, reusing the failed leader's own proposal when it reached
@@ -35,9 +34,6 @@ type config = {
   propose_bytes : int;  (** size of a proposal control write *)
   ack_bytes : int;  (** size of a follower ack *)
   entry_hdr_bytes : int;  (** header added to a replicated log entry *)
-  failover : bool;
-      (** replicate submits/proposals to followers and run leader
-          failure detection; costs extra control writes per message *)
   leader_check_ns : int;  (** follower's leader liveness poll period *)
   resubmit_delay_ns : int;  (** client backoff before retrying a submit *)
   batching : bool;
@@ -48,8 +44,8 @@ type config = {
 }
 
 val default_config : config
-(** Failover support on, 1 us processing, header sizes matching the
-    prototype's wire format. *)
+(** 2.5 us processing, header sizes matching the prototype's wire
+    format. *)
 
 type 'a delivery = {
   d_tmp : Tstamp.t;

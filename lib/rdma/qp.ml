@@ -209,10 +209,6 @@ let post_coalesced wqes =
         wqes;
       flush ()
 
-let write_post_many t pairs =
-  post_coalesced
-    (List.map (fun (addr, payload) -> { w_qp = t; w_addr = addr; w_payload = payload }) pairs)
-
 module Doorbell = struct
   type batch = { mutable b_wqes : wqe list (* reversed *); mutable b_len : int }
 

@@ -57,23 +57,19 @@ val dropped_writes : t -> int
 (** Posted writes this QP dropped because the peer was dead at their
     completion instant. *)
 
-val write_post_many : t -> (Memory.addr * bytes) list -> unit
-(** Post a list of writes on this QP with doorbell batching: WQEs are
-    rung in coalesce groups of at most [post_coalesce]; the first WQE
-    of each group pays [post_ns] of local CPU, each further WQE only
-    [doorbell_ns]. Every WQE still serializes on the QP and pays the
+(** Doorbell batching: collect writes, possibly to several peers over
+    QPs sharing a source node, then ring once. WQEs are rung in
+    coalesce groups of at most [post_coalesce]; the first WQE of each
+    group pays [post_ns] of local CPU, each further WQE only
+    [doorbell_ns]. Every WQE still serializes on its QP and pays the
     full per-verb wire latency (RC ordering), lands like {!write_post},
-    and is dropped (and counted) if the peer is dead at its completion
+    and is dropped (and counted) if its peer is dead at its completion
     instant. [rdma.verb.count{verb=write_post}] counts doorbells — one
-    per group — while [rdma.verb.bytes] / [rdma.verb.latency_ns] stay
-    per-WQE; fabric-wide [rdma.doorbell.rings] / [rdma.doorbell.wqes] /
-    [rdma.doorbell.coalesced] track the batching itself. *)
-
-(** Doorbell batching across queue pairs sharing a source node: collect
-    writes destined for several peers, then ring once. Coalesce-group
-    accounting matches {!write_post_many}; each group's doorbell charge
-    ([rdma.verb.count]) is attributed to the QP carrying the group's
-    first WQE. A batch is reusable — {!ring} drains it. *)
+    per group, attributed to the QP carrying the group's first WQE —
+    while [rdma.verb.bytes] / [rdma.verb.latency_ns] stay per-WQE;
+    fabric-wide [rdma.doorbell.rings] / [rdma.doorbell.wqes] /
+    [rdma.doorbell.coalesced] track the batching itself. A batch is
+    reusable — {!ring} drains it. *)
 module Doorbell : sig
   type batch
 

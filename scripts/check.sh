@@ -104,6 +104,11 @@ for f in test/corpus/longhaul_*.json; do
   dune exec bin/probe.exe -- longhaul --replay "$f"
 done
 
+echo "== bench ablations smoke =="
+# The grace, parallel-execution and multicast-batching ablation tables
+# (EXPERIMENTS.md); nothing else runs this entry point.
+bench quick ablations > /dev/null
+
 echo "== bench longhaul smoke =="
 # Durability ablation: checkpointing on vs off over a long virtual
 # horizon -> BENCH_longhaul.json (flat vs linear log growth, O(delta)

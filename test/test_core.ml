@@ -1011,8 +1011,7 @@ let test_kv_lagger_state_transfer () =
      only too-new versions, and it must recover via state transfer. *)
   let w =
     make_kv ~seed:7 ~keys:4 ~partitions:2 ~init:0L
-      ~tweak:(fun c ->
-        { c with Config.wait_phase2 = Config.Majority; wait_phase4 = Config.Majority })
+      ~tweak:(fun c -> { c with Config.wait_phase4 = Config.Majority })
       ()
   in
   let slow = System.replica w.sys ~part:0 ~idx:2 in
@@ -1073,8 +1072,7 @@ let test_kv_back_to_back_adopted_transfers () =
      across it — and the gap point only moves forward. *)
   let w =
     make_kv ~seed:9 ~keys:4 ~partitions:1 ~init:0L
-      ~tweak:(fun c ->
-        { c with Config.wait_phase2 = Config.Majority; wait_phase4 = Config.Majority })
+      ~tweak:(fun c -> { c with Config.wait_phase4 = Config.Majority })
       ()
   in
   let r2 = System.replica w.sys ~part:0 ~idx:2 in
@@ -1534,64 +1532,50 @@ let test_conflict_index_admission_is_o_footprint () =
 
 (* {1 Coordination batching} *)
 
-let test_batching_onoff_equivalence () =
-  (* coord_batching changes only the cost model, never delivery or
-     execution: the same Incr_all workload (whose final state is
-     order-independent) must complete fully and converge to
-     byte-identical stores with batching on and off, while the doorbell
-     path cuts write_post charges by at least the per-peer fan-out
-     factor (5 remote slots per announce here). *)
-  let run batching =
-    let reg = Heron_obs.Metrics.create () in
-    let w =
-      make_kv ~seed:29 ~keys:4 ~partitions:2 ~init:0L
-        ~tweak:(fun c -> { c with Config.coord_batching = batching; metrics = reg })
-        ()
-    in
-    let completed = ref 0 in
-    for c = 0 to 2 do
-      on_client w (Printf.sprintf "c%d" c) (fun node ->
-          for _ = 1 to 25 do
-            ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1 ]));
-            incr completed
-          done)
-    done;
-    Engine.run_until w.eng (Time_ns.s 5);
-    assert_replicas_converged w;
-    let state =
-      List.concat_map
-        (fun part ->
-          let st = Replica.store (System.replica w.sys ~part ~idx:0) in
-          List.map
-            (fun oid ->
-              (part, Oid.to_int oid, Bytes.to_string (fst (Versioned_store.get st oid))))
-            (Versioned_store.registered_oids st))
-        [ 0; 1 ]
-    in
-    let posts =
-      List.fold_left
-        (fun acc e ->
-          match e.Heron_obs.Metrics.e_value with
-          | Heron_obs.Metrics.Counter_v n
-            when e.Heron_obs.Metrics.e_name = "rdma.verb.count"
-                 && List.mem ("verb", "write_post") e.Heron_obs.Metrics.e_labels ->
-              acc + n
-          | _ -> acc)
-        0
-        (Heron_obs.Metrics.snapshot reg)
-    in
-    (!completed, state, posts)
+let test_one_doorbell_fanout () =
+  (* Every coordination fan-out is one doorbell-batched WQE list: on an
+     Incr_all workload over 2 partitions x 3 replicas every op
+     completes, the replicas converge, the doorbells carry the
+     per-announce fan-out (5 remote slots each), and
+     [rdma.verb.count{verb=write_post}] counts doorbells, not WQEs. *)
+  let reg = Heron_obs.Metrics.create () in
+  let w =
+    make_kv ~seed:29 ~keys:4 ~partitions:2 ~init:0L
+      ~tweak:(fun c -> { c with Config.metrics = reg })
+      ()
   in
-  let c_on, s_on, posts_on = run true in
-  let c_off, s_off, posts_off = run false in
-  check_int "all ops completed (batching on)" 75 c_on;
-  check_int "all ops completed (batching off)" 75 c_off;
-  check_bool "identical final state" true (s_on = s_off);
+  let completed = ref 0 in
+  for c = 0 to 2 do
+    on_client w (Printf.sprintf "c%d" c) (fun node ->
+        for _ = 1 to 25 do
+          ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1 ]));
+          incr completed
+        done)
+  done;
+  Engine.run_until w.eng (Time_ns.s 5);
+  check_int "all ops completed" 75 !completed;
+  assert_replicas_converged w;
+  let snap = Heron_obs.Metrics.snapshot reg in
+  let total name labels =
+    List.fold_left
+      (fun acc e ->
+        match e.Heron_obs.Metrics.e_value with
+        | Heron_obs.Metrics.Counter_v n
+          when e.Heron_obs.Metrics.e_name = name
+               && List.for_all (fun l -> List.mem l e.Heron_obs.Metrics.e_labels) labels ->
+            acc + n
+        | _ -> acc)
+      0 snap
+  in
+  let rings = total "rdma.doorbell.rings" [] in
+  let wqes = total "rdma.doorbell.wqes" [] in
+  let posts = total "rdma.verb.count" [ ("verb", "write_post") ] in
+  check_bool "doorbells rang" true (rings > 0);
   check_bool
-    (Printf.sprintf "doorbell charges cut by fan-out factor (%d on vs %d off)"
-       posts_on posts_off)
+    (Printf.sprintf "fan-out factor per doorbell (%d WQEs over %d rings)" wqes rings)
     true
-    (posts_on > 0 && posts_off >= 4 * posts_on)
+    (wqes >= 4 * rings);
+  check_int "write_post counts doorbells" rings posts
 
 (* {1 Compartmentalized pipeline (DESIGN.md §12)} *)
 
@@ -2167,7 +2151,7 @@ let suite =
         tc "admission is O(footprint)" test_conflict_index_admission_is_o_footprint;
       ] );
     ( "core.coordination",
-      [ tc "coord batching on/off equivalence" test_batching_onoff_equivalence ] );
+      [ tc "one doorbell per fan-out" test_one_doorbell_fanout ] );
     ( "core.durability",
       [
         tc "durability on/off equivalence" test_durability_onoff_equivalence;

@@ -239,23 +239,6 @@ let test_corrupted_history_rejected () =
   check_bool "poisoned history rejected" false
     (Lincheck.check (kv_spec ~keys ~init:0L) (events @ [ poison ]))
 
-let test_batching_onoff_linearizable () =
-  (* Doorbell-batched coordination writes must not change correctness:
-     the same mixed workload linearizes with coord_batching on and off,
-     and every client op completes in both runs. Timing differs between
-     the two configs, so histories are compared by verdict and op count
-     rather than event-for-event. *)
-  let keys = 4 in
-  let run batching =
-    record_heron_history ~seed:41 ~keys ~partitions:2 ~clients:4 ~ops_per_client:10
-      ~tweak:(fun c -> { c with Config.coord_batching = batching })
-      ~gen_op:(mixed_op ~keys) ()
-  in
-  let on_ = run true and off = run false in
-  check_bool "batching on linearizes" true (Lincheck.check (kv_spec ~keys ~init:0L) on_);
-  check_bool "batching off linearizes" true (Lincheck.check (kv_spec ~keys ~init:0L) off);
-  Alcotest.(check int) "same op count" (List.length off) (List.length on_)
-
 let test_pipeline_onoff_linearizable () =
   (* The compartmentalized pipeline (batcher + executor pool +
      coordination writer, DESIGN.md §12) must not change correctness:
@@ -326,7 +309,6 @@ let suite =
       [
         tc "mixed KV history is linearizable" test_heron_history_linearizable;
         tc "corrupted history rejected" test_corrupted_history_rejected;
-        tc "coord batching on/off verdicts agree" test_batching_onoff_linearizable;
         tc "pipeline on/off verdicts agree" test_pipeline_onoff_linearizable;
         Qc.test heron_linearizable_prop;
         Qc.test pipeline_linearizable_prop;

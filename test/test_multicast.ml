@@ -356,25 +356,6 @@ let mcast_props_prop =
         ~sent:(List.map (fun (_, d, p) -> (d, p)) triples);
       true)
 
-let mcast_no_failover_prop =
-  QCheck.Test.make ~name:"multicast properties with failover support off"
-    ~count:20
-    (QCheck.make workload_gen)
-    (fun (n_groups, msgs) ->
-      let config = { Ramcast.default_config with failover = false } in
-      let w = make_world ~config ~n_groups ~n_replicas:3 ~n_clients:3 () in
-      let triples =
-        List.mapi
-          (fun i (c, mask) ->
-            (c, dst_of_mask n_groups mask, Printf.sprintf "p%d" i))
-          msgs
-      in
-      submit_all w triples;
-      Engine.run_until w.eng (Time_ns.ms 50);
-      check_properties w ~n_groups ~n_replicas:3
-        ~sent:(List.map (fun (_, d, p) -> (d, p)) triples);
-      true)
-
 let mcast_batching_prop =
   QCheck.Test.make ~name:"multicast properties with batching on" ~count:20
     (QCheck.make workload_gen)
@@ -480,7 +461,6 @@ let suite =
     ( "multicast.properties",
       [
         Qc.test mcast_props_prop;
-        Qc.test mcast_no_failover_prop;
         Qc.test mcast_batching_prop;
         Qc.test mcast_follower_crash_prop;
       ] );

@@ -288,7 +288,13 @@ let counter_of reg ?labels name =
   | Some _ -> Alcotest.failf "%s: not a counter" name
   | None -> 0
 
-let test_write_post_many_one_doorbell () =
+(* Ring one doorbell over [writes], all on the same QP. *)
+let ring_one_qp qp writes =
+  let batch = Qp.Doorbell.create () in
+  List.iter (fun (addr, payload) -> Qp.Doorbell.add batch qp addr payload) writes;
+  Qp.Doorbell.ring batch
+
+let test_doorbell_one_qp () =
   (* n WQEs under one coalesce group: the poster pays post_ns once plus
      doorbell_ns per further WQE; every WQE still pays full RC-ordered
      wire latency, so the last landing is n verb latencies out. *)
@@ -299,7 +305,7 @@ let test_write_post_many_one_doorbell () =
   let after_post = ref 0 in
   Fabric.spawn_on a (fun () ->
       let qp = Qp.connect ~src:a ~dst:b in
-      Qp.write_post_many qp
+      ring_one_qp qp
         (List.init 5 (fun i ->
              (Memory.addr ~node:nid r ~off:(8 * i), Bytes.make 8 (Char.chr (65 + i)))));
       after_post := Engine.self_now ());
@@ -322,7 +328,7 @@ let test_write_post_many_one_doorbell () =
   check_int "wqes" 5 (counter_of reg "rdma.doorbell.wqes");
   check_int "coalesced" 4 (counter_of reg "rdma.doorbell.coalesced")
 
-let test_write_post_many_coalesce_split () =
+let test_doorbell_coalesce_split () =
   (* post_coalesce caps WQEs per doorbell: 5 WQEs at 2 per ring cost 3
      doorbells and 2 chained posts. *)
   let profile = { Profile.default with Profile.post_coalesce = 2 } in
@@ -332,7 +338,7 @@ let test_write_post_many_coalesce_split () =
   let after_post = ref 0 in
   Fabric.spawn_on a (fun () ->
       let qp = Qp.connect ~src:a ~dst:b in
-      Qp.write_post_many qp
+      ring_one_qp qp
         (List.init 5 (fun i -> (Memory.addr ~node:nid r ~off:(8 * i), Bytes.make 8 'x')));
       after_post := Engine.self_now ());
   Engine.run eng;
@@ -346,7 +352,7 @@ let test_write_post_many_coalesce_split () =
   check_int "wqes" 5 (counter_of reg "rdma.doorbell.wqes");
   check_int "coalesced" 2 (counter_of reg "rdma.doorbell.coalesced")
 
-let test_write_post_many_rc_order_and_latency () =
+let test_doorbell_rc_order_and_latency () =
   (* WQEs in one batch serialize on the QP: k-th completion is k verb
      latencies after the (single) post charge. *)
   let eng, _, _, a, b = make_metered () in
@@ -364,7 +370,7 @@ let test_write_post_many_rc_order_and_latency () =
       done);
   Fabric.spawn_on a (fun () ->
       let qp = Qp.connect ~src:a ~dst:b in
-      Qp.write_post_many qp
+      ring_one_qp qp
         (List.init 3 (fun i ->
              let payload = Bytes.create 8 in
              Bytes.set_int64_le payload 0 (Int64.of_int (i + 1));
@@ -429,16 +435,15 @@ let test_doorbell_payload_snapshot () =
   check_bytes "snapshot at ring time" (Bytes.of_string "old")
     (Memory.read_bytes r ~off:0 ~len:3)
 
-let test_write_post_many_empty () =
-  let eng, _, _, a, b = make_metered () in
+let test_doorbell_empty () =
+  let eng, reg, _, a, _ = make_metered () in
   let moved = ref false in
   Fabric.spawn_on a (fun () ->
-      let qp = Qp.connect ~src:a ~dst:b in
-      Qp.write_post_many qp [];
       Qp.Doorbell.ring (Qp.Doorbell.create ());
       moved := Engine.self_now () > 0);
   Engine.run eng;
-  check_bool "empty batches are free" false !moved
+  check_bool "empty batches are free" false !moved;
+  check_int "no rings" 0 (counter_of reg "rdma.doorbell.rings")
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -477,12 +482,12 @@ let suite =
       ] );
     ( "rdma.doorbell",
       [
-        tc "write_post_many single doorbell" test_write_post_many_one_doorbell;
-        tc "coalesce split" test_write_post_many_coalesce_split;
-        tc "RC order within a batch" test_write_post_many_rc_order_and_latency;
+        tc "one-QP batch single doorbell" test_doorbell_one_qp;
+        tc "coalesce split" test_doorbell_coalesce_split;
+        tc "RC order within a batch" test_doorbell_rc_order_and_latency;
         tc "cross-QP batch" test_doorbell_cross_qp;
         tc "payload snapshot at ring" test_doorbell_payload_snapshot;
-        tc "empty batches" test_write_post_many_empty;
+        tc "empty batches" test_doorbell_empty;
       ] );
   ]
 

@@ -10,11 +10,11 @@
                                                    Perfetto dump
      dune exec bin/probe.exe -- jsonlint FILE   -- validate a JSON file
                                                    (exit 0/1)
-     dune exec bin/probe.exe -- chaos --seeds 0..500 [--shrink]
-                                                [--corpus DIR] [--reconfig]
-                                                [--elastic] [--pipeline]
-                                                [--fast-reads]
-                                                [--replay FILE-OR-DIR]...
+     dune exec bin/probe.exe -- chaos [--seeds 0..500 |
+                                                --replay FILE-OR-DIR...]
+                                                [--shrink] [--corpus DIR]
+                                                [--reconfig | --elastic]
+                                                [--pipeline] [--fast-reads]
                                                 -- chaos-schedule sweep /
                                                    corpus replay (exit 0/1)
      dune exec bin/probe.exe -- benchguard CURRENT BASELINE --keys a,b
@@ -218,11 +218,12 @@ let run_explain args =
    [probe longhaul] is the same runner over the longhaul family
    (DESIGN.md §13): durability on, long horizons, and the flat-memory /
    O(delta)-rejoin verdict in addition to linearizability. *)
-let run_chaos ?(longhaul = false) args =
+let run_chaos cmd args =
+  let longhaul = cmd = "longhaul" in
   let module Sched = Heron_chaos.Schedule in
   let module Cdriver = Heron_chaos.Driver in
   let module Shrink = Heron_chaos.Shrink in
-  let seed_lo = ref 0 and seed_hi = ref 100 in
+  let seeds = ref None in
   let shrink = ref false in
   let reconfig = ref false in
   let elastic = ref false in
@@ -232,12 +233,15 @@ let run_chaos ?(longhaul = false) args =
   let replays = ref [] in
   let usage () =
     Printf.eprintf
-      "usage: probe %s [--seeds A..B] [--shrink] [--corpus DIR]%s \
-       [--replay FILE-OR-DIR]...\n"
-      (if longhaul then "longhaul" else "chaos")
-      (if longhaul then ""
-       else " [--reconfig] [--elastic] [--pipeline] [--fast-reads]");
+      "usage: probe %s [--seeds A..B | --replay FILE-OR-DIR...] [--shrink] \
+       [--corpus DIR]%s [--pipeline] [--fast-reads]\n"
+      cmd
+      (if longhaul then "" else " [--reconfig | --elastic]");
     exit 2
+  in
+  let misuse msg =
+    Printf.eprintf "%s\n" msg;
+    usage ()
   in
   (* A --replay directory means every *.json inside it, in name order —
      so CI can point at the whole pinned corpus. *)
@@ -252,16 +256,11 @@ let run_chaos ?(longhaul = false) args =
   let rec parse = function
     | [] -> ()
     | "--seeds" :: spec :: rest ->
-        (match String.index_opt spec '.' with
-        | Some _ -> (
-            try Scanf.sscanf spec "%d..%d" (fun a b -> seed_lo := a; seed_hi := b)
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> usage ())
-        | None -> usage ());
+        (match Scanf.sscanf spec "%d..%d%!" (fun a b -> (a, b)) with
+        | lo, hi when lo <= hi -> seeds := Some (lo, hi)
         (* An empty range would sweep nothing and pass. *)
-        if !seed_lo > !seed_hi then begin
-          Printf.eprintf "empty seed range %s\n" spec;
-          usage ()
-        end;
+        | _ -> misuse ("empty seed range " ^ spec)
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> usage ());
         parse rest
     | "--shrink" :: rest ->
         shrink := true;
@@ -291,6 +290,31 @@ let run_chaos ?(longhaul = false) args =
     | _ -> usage ()
   in
   parse args;
+  (* --reconfig and --elastic pick the generator family; they are not
+     deployment features, so a combination that cannot be honoured is a
+     usage error rather than a silently ignored flag. *)
+  if !reconfig && !elastic then misuse "--reconfig and --elastic are different families";
+  if longhaul && (!reconfig || !elastic) then
+    misuse "longhaul is its own family: --reconfig and --elastic do not apply";
+  if !seeds <> None && !replays <> [] then
+    misuse "--seeds sweeps generated schedules, --replay pinned ones: pick one";
+  let family, gen =
+    if longhaul then ("longhaul", Sched.generate_longhaul)
+    else if !elastic then ("elastic", Sched.generate_elastic)
+    else if !reconfig then ("reconfig", Sched.generate_reconfig)
+    else ("chaos", Sched.generate)
+  in
+  (* A schedule runs under the deployment it records — its family's for
+     a generated one, the one it failed in for a pin — with the features
+     named on the command line switched on as well. *)
+  let deploy sc =
+    let d = sc.Sched.sc_deployment in
+    { sc with
+      Sched.sc_deployment =
+        { d with
+          Sched.pipeline = d.Sched.pipeline || !pipeline;
+          fast_reads = d.Sched.fast_reads || !fast_reads } }
+  in
   let failures = ref 0 in
   let report sc outcome =
     match outcome with
@@ -300,11 +324,7 @@ let run_chaos ?(longhaul = false) args =
         pr "seed %d FAILED (%s): %s\n" sc.Sched.sc_seed (Cdriver.failure_kind f)
           (Format.asprintf "%a" Cdriver.pp_failure f);
         if !shrink then begin
-          let small =
-            Shrink.minimize ~pipeline:!pipeline ~durability:longhaul
-              ~longhaul ~fast_reads:!fast_reads sc
-              ~kind:(Cdriver.failure_kind f)
-          in
+          let small = Shrink.minimize sc ~kind:(Cdriver.failure_kind f) in
           pr "  shrunk to %d events:\n%s\n"
             (List.length small.Sched.sc_events)
             (Format.asprintf "    %a" Sched.pp small);
@@ -313,19 +333,14 @@ let run_chaos ?(longhaul = false) args =
           | Some dir ->
               (try Unix.mkdir dir 0o755
                with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-              (* Pipeline- and fast-read-discovered failures get their
-                 own prefix so such a pin never overwrites a
-                 classic-loop pin for the same seed. *)
+              (* The pin carries its deployment; the name only keeps
+                 pins of different families and deployments apart. *)
               let file =
                 Filename.concat dir
-                  (if longhaul then
-                     Printf.sprintf "longhaul_seed_%d.json" sc.Sched.sc_seed
-                   else
-                     Printf.sprintf "chaos_%s%s%sseed_%d.json"
-                       (if !elastic then "elastic_" else "")
-                       (if !pipeline then "pipeline_" else "")
-                       (if !fast_reads then "fastreads_" else "")
-                       sc.Sched.sc_seed)
+                  (Printf.sprintf "%s_seed_%d.json"
+                     (String.concat "_"
+                        (family :: Sched.features small.Sched.sc_deployment))
+                     sc.Sched.sc_seed)
               in
               Sched.save small ~file;
               pr "  pinned as %s\n" file
@@ -338,36 +353,27 @@ let run_chaos ?(longhaul = false) args =
           Printf.eprintf "%s: %s\n" file msg;
           exit 2
       | Ok sc ->
+          let sc = deploy sc in
           pr "replay %s: %!" file;
-          let outcome =
-            Cdriver.run ~pipeline:!pipeline ~durability:longhaul ~longhaul
-              ~fast_reads:!fast_reads sc
-          in
+          let outcome = Cdriver.run sc in
           pr "%s\n" (Format.asprintf "%a" Cdriver.pp_outcome outcome);
           report sc outcome)
     (List.rev !replays);
   if !replays = [] then begin
     let t0 = Unix.gettimeofday () in
-    let gen =
-      if longhaul then Sched.generate_longhaul
-      else if !elastic then Sched.generate_elastic
-      else if !reconfig then Sched.generate_reconfig
-      else Sched.generate
-    in
-    for seed = !seed_lo to !seed_hi do
-      let sc = gen ~seed in
-      report sc
-        (Cdriver.run ~pipeline:!pipeline ~durability:longhaul ~longhaul
-           ~fast_reads:!fast_reads sc)
+    let seed_lo, seed_hi = Option.value !seeds ~default:(0, 100) in
+    for seed = seed_lo to seed_hi do
+      let sc = deploy (gen ~seed) in
+      report sc (Cdriver.run sc)
     done;
-    pr "%d %s%s%s%s%sschedules (seeds %d..%d), %d failed, %.1fs\n"
-      (!seed_hi - !seed_lo + 1)
-      (if longhaul then "longhaul " else "")
-      (if !reconfig then "reconfig " else "")
-      (if !elastic then "elastic " else "")
-      (if !pipeline then "pipelined " else "")
-      (if !fast_reads then "fast-read " else "")
-      !seed_lo !seed_hi !failures
+    pr "%d %sschedules (seeds %d..%d), %d failed, %.1fs\n"
+      (seed_hi - seed_lo + 1)
+      (String.concat ""
+         (List.map (fun tag -> tag ^ " ")
+            ((if family = "chaos" then [] else [ family ])
+            @ (if !pipeline then [ "pipelined" ] else [])
+            @ if !fast_reads then [ "fast-read" ] else [])))
+      seed_lo seed_hi !failures
       (Unix.gettimeofday () -. t0)
   end;
   exit (if !failures > 0 then 1 else 0)
@@ -511,8 +517,7 @@ let () =
   | [ "trace"; file ] -> run_trace file
   | "explain" :: rest -> run_explain rest
   | [ "jsonlint"; file ] -> run_jsonlint file
-  | "chaos" :: rest -> run_chaos rest
-  | "longhaul" :: rest -> run_chaos ~longhaul:true rest
+  | (("chaos" | "longhaul") as cmd) :: rest -> run_chaos cmd rest
   | "benchguard" :: rest -> run_benchguard rest
   | [ "reconfig" ] -> run_reconfig ()
   | _ ->

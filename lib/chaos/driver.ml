@@ -26,7 +26,6 @@ let failure_kind = function
 
 let m_runs = Metrics.counter Metrics.default "chaos.schedules_run"
 let m_failures = Metrics.counter Metrics.default "chaos.failures"
-let m_skipped = Metrics.counter Metrics.default "chaos.injections_skipped"
 
 let gen_op sc rng =
   match sc.S.sc_workload with
@@ -45,8 +44,10 @@ let replica_node sys (part, idx) = Replica.node (System.replica sys ~part ~idx)
 (* Schedule one event's injection callbacks. Spanned events install
    their fault at [at] and carry their own cleanup at [at + span], so
    removing the event from a schedule removes both sides. Replicas are
-   re-resolved at fire time: a restart replaces the replica object. *)
-let inject sys ev =
+   re-resolved at fire time: a restart replaces the replica object.
+   Injections that would leave the envelope are skipped and counted in
+   [skipped]. *)
+let inject sys ~skipped ev =
   let eng = System.engine sys in
   let fab = System.fabric sys in
   let at t f = Engine.schedule ~delay:t eng f in
@@ -71,13 +72,13 @@ let inject sys ev =
             !ok
           in
           if idx > 0 && Fabric.is_alive node && peers_ready then Fabric.crash node
-          else Metrics.incr m_skipped)
+          else Metrics.incr skipped)
   | S.Restart { part; idx; at = t } ->
       at t (fun () ->
           if not (Fabric.is_alive (replica_node sys (part, idx))) then
             Engine.spawn ~name:"chaos-restart" eng (fun () ->
                 System.restart_replica sys ~part ~idx)
-          else Metrics.incr m_skipped)
+          else Metrics.incr skipped)
   | S.Delay_link { src; dst; extra_ns; at = t; span } ->
       at t (fun () ->
           let src = Fabric.node_id (replica_node sys src)
@@ -112,7 +113,7 @@ let inject sys ev =
                   ~oids:[ Kv_app.oid_of_key key ] ~dst
               with
               | Ok () -> ()
-              | Error _ -> Metrics.incr m_skipped))
+              | Error _ -> Metrics.incr skipped))
   | S.Split { shard; at = t } ->
       at t (fun () ->
           (* Indices are reduced against the live table at fire time:
@@ -123,12 +124,12 @@ let inject sys ev =
           let node = System.new_client_node sys ~name:"chaos-split" in
           Fabric.spawn_on node (fun () ->
               match Placement.shards (System.directory sys) with
-              | None -> Metrics.incr m_skipped
+              | None -> Metrics.incr skipped
               | Some sm -> (
                   let shard = shard mod Heron_topology.Shard_map.count sm in
                   match Heron_reconfig.Elastic.split sys ~from:node ~shard with
                   | Ok _ -> ()
-                  | Error _ -> Metrics.incr m_skipped)))
+                  | Error _ -> Metrics.incr skipped)))
   | S.Merge { left; at = t } ->
       at t (fun () ->
           let node = System.new_client_node sys ~name:"chaos-merge" in
@@ -138,8 +139,8 @@ let inject sys ev =
                   let left = left mod (Heron_topology.Shard_map.count sm - 1) in
                   match Heron_reconfig.Elastic.merge sys ~from:node ~left with
                   | Ok _ -> ()
-                  | Error _ -> Metrics.incr m_skipped)
-              | _ -> Metrics.incr m_skipped))
+                  | Error _ -> Metrics.incr skipped)
+              | _ -> Metrics.incr skipped))
 
 let divergence sys =
   let problem = ref None in
@@ -249,8 +250,8 @@ let check_bounded sys cfg sc =
       restarts replayed (restarts * len_bound);
   !problem
 
-let run_exn ?(pipeline = false) ?(durability = false) ?(longhaul = false)
-    ?(fast_reads = false) ?inspect sc =
+let run_exn ?inspect sc =
+  let { S.pipeline; fast_reads; durability; longhaul } = sc.S.sc_deployment in
   let eng = Engine.create ~seed:sc.S.sc_seed () in
   let horizon = sc.S.sc_horizon_ns in
   let base =
@@ -260,30 +261,24 @@ let run_exn ?(pipeline = false) ?(durability = false) ?(longhaul = false)
     {
       base with
       reconfig = { Config.enabled = true };
-      (* The elastic topology rides in the schedule itself (unlike the
-         deployment flags below): a pinned crash-mid-split JSON must
-         replay with the same shard table wherever it runs, and
-         pre-topology pins decode to [sc_shards = 0] — topology off,
+      (* The elastic topology and the feature switches below ride in
+         the schedule itself: a pinned JSON replays under the
+         deployment it was found in wherever it runs, and pins from
+         before either field decode to everything off —
          behavior-identical to the system that pinned them. *)
       topology =
         (if sc.S.sc_shards > 0 then
            { Config.topo_enabled = true; topo_shards = sc.S.sc_shards }
          else Config.default_topology);
-      (* Schedules are config-agnostic: the same pinned JSON replays
-         with the compartmentalized pipeline off and on (DESIGN.md
-         §12), so the corpus doubles as a pipeline corpus. *)
       pipeline =
         (if pipeline then
            { Config.default_pipeline with Config.pipe_enabled = true }
          else Config.default_pipeline);
-      (* Like [pipeline]: fast reads are a deployment flag, not a
-         schedule field, so the pinned corpus replays with leases on
-         without touching the JSON. Reads taking the local-lease path
-         still feed the same linearizability history. The lease cadence
-         scales with the horizon like the checkpoint cadence below:
-         every grant is a multicast, so renewing every 800us across a
-         minutes-long longhaul schedule would swamp the event count —
-         a few hundred grant rounds per run is enough lease churn. *)
+      (* The lease cadence scales with the horizon like the checkpoint
+         cadence below: every grant is a multicast, so renewing every
+         800us across a minutes-long longhaul schedule would swamp the
+         event count — a few hundred grant rounds per run is enough
+         lease churn. *)
       fast_reads =
         (if fast_reads then
            { Config.default_fast_reads with
@@ -303,13 +298,13 @@ let run_exn ?(pipeline = false) ?(durability = false) ?(longhaul = false)
                max Config.default_durability.Config.dur_interval_ns
                  (horizon / 256) }
          else Config.default_durability);
-      (* Longhaul runs read this run's own metrics for their verdict,
-         so they must not share the process-wide aggregating registry;
-         the leader liveness poll is also relaxed — index 0 never
+      (* Every run owns its registry: the longhaul verdict and callers'
+         [inspect] read this run's counters, not a process-wide sum. *)
+      metrics = Metrics.create ();
+      (* Longhaul runs relax the leader liveness poll — index 0 never
          crashes in generated schedules, and sub-millisecond polling
          across minutes of virtual time would dominate the event
          count. *)
-      metrics = (if longhaul then Metrics.create () else base.Config.metrics);
       mcast =
         (if longhaul then
            { base.Config.mcast with
@@ -349,7 +344,8 @@ let run_exn ?(pipeline = false) ?(durability = false) ?(longhaul = false)
           if sc.S.sc_think_ns > 0 then Engine.sleep sc.S.sc_think_ns
         done)
   done;
-  List.iter (inject sys) sc.S.sc_events;
+  let skipped = Metrics.counter cfg.Config.metrics "chaos.injections_skipped" in
+  List.iter (inject sys ~skipped) sc.S.sc_events;
   (* Advance in short steps so a finished run does not simulate the
      whole horizon's worth of failure-detector polling. *)
   let step = max (Time_ns.ms 2) (horizon / 512) in
@@ -429,14 +425,13 @@ let run_exn ?(pipeline = false) ?(durability = false) ?(longhaul = false)
                     | None -> Completed { completed = !completed })))
   end
 
-let run ?(pipeline = false) ?(durability = false) ?(longhaul = false)
-    ?(fast_reads = false) ?inspect sc =
+let run ?inspect sc =
   Metrics.incr m_runs;
   let verdict =
     (* An exception out of the event loop is protocol code breaking (an
        assert, an array bound), not the harness: capture it as a
        failure so it can be shrunk and pinned like any other. *)
-    try run_exn ~pipeline ~durability ~longhaul ~fast_reads ?inspect sc
+    try run_exn ?inspect sc
     with e -> Failed (Crashed { detail = Printexc.to_string e })
   in
   (match verdict with Failed _ -> Metrics.incr m_failures | Completed _ -> ());

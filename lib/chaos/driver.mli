@@ -35,8 +35,12 @@
     partition is down or still synchronising state
     ({!Heron_core.Replica.in_recovery}); a restart is skipped if the
     target is alive.
-    Metrics: [chaos.schedules_run], [chaos.failures],
-    [chaos.injections_skipped]. *)
+
+    Every run builds its deployment on its own metrics registry
+    ([Config.metrics] of the system handed to [inspect]), which also
+    counts [chaos.injections_skipped]. Sweep-level counters
+    [chaos.schedules_run] and [chaos.failures] go to
+    {!Heron_obs.Metrics.default}. *)
 
 type failure =
   | Stalled of { completed : int; expected : int }
@@ -54,43 +58,12 @@ val failure_kind : failure -> string
     of "the same bug". *)
 
 val run :
-  ?pipeline:bool ->
-  ?durability:bool ->
-  ?longhaul:bool ->
-  ?fast_reads:bool ->
   ?inspect:((Heron_kv.Kv_app.req, Heron_kv.Kv_app.resp) Heron_core.System.t -> unit) ->
   Schedule.t ->
   outcome
-(** [run sc] interprets the schedule against a fresh deployment.
-    [pipeline] (default false) enables the compartmentalized replica
-    pipeline ({!Heron_core.Config.pipeline}, DESIGN.md §12) for the
-    run; schedules themselves are config-agnostic, so the same pinned
-    corpus replays under both configurations.
-
-    [durability] (default false) switches on checkpointing and
-    update-log compaction ({!Heron_core.Config.durability}, DESIGN.md
-    §13), with the checkpoint interval scaled so every run sees a few
-    hundred rounds regardless of its horizon. Off, the run is
-    byte-identical to the pre-durability driver — the refinement suite
-    relies on that.
-
-    [longhaul] (default false) marks a long-horizon run: metrics are
-    collected in a private registry, the multicast leader liveness
-    poll is relaxed in proportion to the horizon (index 0 never
-    crashes in generated schedules), and a completed run additionally
-    gets the {!Unbounded} flat-memory / O(delta)-rejoin verdict.
-
-    [fast_reads] (default false) enables lease-based local reads
-    ({!Heron_core.Config.fast_reads}, DESIGN.md §14): single-partition
-    read-only requests are served from a lease-holding replica's local
-    store with no multicast round, falling back to the ordered path on
-    a lease miss. Like [pipeline], this is a deployment flag rather
-    than a schedule field — the same pinned corpus replays under it.
-    The linearizability verdict covers the fast path: locally-served
-    reads enter the recorded history like any other operation. The
-    lease and renewal cadence scale with the schedule horizon (like
-    the checkpoint cadence under [durability]) so minutes-long
-    longhaul pins replay without a grant multicast every 800us.
+(** [run sc] interprets the schedule against a fresh deployment built
+    from [sc.sc_deployment] ({!Schedule.deployment}) and [sc.sc_shards];
+    live repartitioning is always on.
 
     [inspect] runs against the live system after the run settled and
     every other verdict passed — the refinement suite uses it to

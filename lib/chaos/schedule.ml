@@ -20,6 +20,24 @@ type event =
 
 type workload = Incr_all | Mixed
 
+type deployment = {
+  pipeline : bool;
+  fast_reads : bool;
+  durability : bool;
+  longhaul : bool;
+}
+
+let no_features =
+  { pipeline = false; fast_reads = false; durability = false; longhaul = false }
+
+let deployment_fields d =
+  [ ("pipeline", d.pipeline); ("fast_reads", d.fast_reads);
+    ("durability", d.durability); ("longhaul", d.longhaul) ]
+
+let features d =
+  List.filter_map (fun (name, on) -> if on then Some name else None)
+    (deployment_fields d)
+
 type t = {
   sc_seed : int;
   sc_partitions : int;
@@ -34,6 +52,7 @@ type t = {
       (* deployment-time shards of the elastic topology; 0 (the
          default, and what pre-topology pins decode to) runs with the
          topology off *)
+  sc_deployment : deployment;
   sc_events : event list;
 }
 
@@ -155,6 +174,7 @@ let generate ~seed =
       sc_horizon_ns = default_horizon_ns;
       sc_think_ns = 0;
       sc_shards = 0;
+      sc_deployment = no_features;
       sc_events = !events;
     }
 
@@ -204,6 +224,7 @@ let generate_reconfig ~seed =
       sc_horizon_ns = default_horizon_ns;
       sc_think_ns = 0;
       sc_shards = 0;
+      sc_deployment = no_features;
       sc_events = !events;
     }
 
@@ -211,7 +232,7 @@ let generate_reconfig ~seed =
    instead of milliseconds, client traffic paced with think time so it
    spans the whole horizon, and repeated crash/rejoin/migrate cycles
    spaced tens of virtual seconds apart. Between cycles the durability
-   layer (which the driver switches on for this family) checkpoints
+   layer (which this family's deployment switches on) checkpoints
    many times, so every rejoin lands long after log prefixes were
    truncated — the regime where bootstrap-from-checkpoint is the only
    correct recovery path. A ~100-seed sweep covers about a day of
@@ -270,6 +291,7 @@ let generate_longhaul ~seed =
       sc_horizon_ns = horizon;
       sc_think_ns = think;
       sc_shards = 0;
+      sc_deployment = { no_features with durability = true; longhaul = true };
       sc_events = !events;
     }
 
@@ -334,6 +356,7 @@ let generate_elastic ~seed =
       sc_horizon_ns = default_horizon_ns;
       sc_think_ns = 0;
       sc_shards = 2;
+      sc_deployment = no_features;
       sc_events = !events;
     }
 
@@ -478,6 +501,10 @@ let to_json t =
       ("horizon_ns", Json.Int t.sc_horizon_ns);
       ("think_ns", Json.Int t.sc_think_ns);
       ("shards", Json.Int t.sc_shards);
+      ( "deployment",
+        Json.Obj
+          (List.map (fun (k, b) -> (k, Json.Bool b)) (deployment_fields t.sc_deployment))
+      );
       ("events", Json.List (List.map event_to_json t.sc_events));
     ]
 
@@ -500,6 +527,16 @@ let int_field_opt name ~default j =
   | Some (Json.Int i) -> i
   | Some _ -> raise (Bad (Printf.sprintf "non-integer field %S" name))
   | None -> default
+
+let deployment_of_json j =
+  let flag name =
+    match Json.member name j with
+    | Some (Json.Bool b) -> b
+    | Some _ -> raise (Bad (Printf.sprintf "non-boolean deployment field %S" name))
+    | None -> false
+  in
+  { pipeline = flag "pipeline"; fast_reads = flag "fast_reads";
+    durability = flag "durability"; longhaul = flag "longhaul" }
 
 let event_of_json j =
   let link () =
@@ -558,6 +595,11 @@ let of_json j =
            sc_horizon_ns = int_field_opt "horizon_ns" ~default:default_horizon_ns j;
            sc_think_ns = int_field_opt "think_ns" ~default:0 j;
            sc_shards = int_field_opt "shards" ~default:0 j;
+           sc_deployment =
+             (match Json.member "deployment" j with
+             | Some (Json.Obj _ as d) -> deployment_of_json d
+             | Some _ -> raise (Bad "non-object field \"deployment\"")
+             | None -> no_features);
            sc_events = events;
          })
   with Bad msg -> Error msg
@@ -600,9 +642,12 @@ let pp_event ppf = function
   | Merge { left; at } -> Format.fprintf ppf "@%dus merge pair %d" (at / 1000) left
 
 let pp ppf t =
-  Format.fprintf ppf "seed %d, %dx%d, %d clients x %d %s ops, %dms horizon, %d events"
+  Format.fprintf ppf "seed %d, %dx%d, %d clients x %d %s ops, %dms horizon, %d events%s"
     t.sc_seed t.sc_partitions t.sc_replicas t.sc_clients t.sc_ops
     (match t.sc_workload with Incr_all -> "incr_all" | Mixed -> "mixed")
     (t.sc_horizon_ns / 1_000_000)
-    (List.length t.sc_events);
+    (List.length t.sc_events)
+    (match features t.sc_deployment with
+    | [] -> ""
+    | fs -> ", under " ^ String.concat "+" fs);
   List.iter (fun e -> Format.fprintf ppf "@.  %a" pp_event e) t.sc_events

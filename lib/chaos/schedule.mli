@@ -53,6 +53,33 @@ type workload =
   | Incr_all  (** every op is [Incr_all [0;1]] — cross-partition writes *)
   | Mixed  (** reads, writes, increments and snapshots (lincheck food) *)
 
+type deployment = {
+  pipeline : bool;
+      (** the compartmentalized replica pipeline (DESIGN.md §12) *)
+  fast_reads : bool;
+      (** lease-based local reads (DESIGN.md §14); locally-served reads
+          enter the linearizability history like any other operation.
+          Lease and renewal cadence scale with the horizon. *)
+  durability : bool;
+      (** checkpointing and update-log compaction (DESIGN.md §13), the
+          checkpoint interval scaled to a few hundred rounds per
+          horizon. Off, runs are byte-identical to the pre-durability
+          driver — the refinement suite relies on that. *)
+  longhaul : bool;
+      (** long horizon: the leader liveness poll is relaxed in
+          proportion to the horizon, and a completed run also gets the
+          driver's [Unbounded] flat-memory / O(delta)-rejoin verdict *)
+}
+(** The deployment a schedule runs under: the driver builds its
+    configuration from it, and shrinking keeps it, so a pin replays
+    under the deployment it failed in. *)
+
+val no_features : deployment
+(** Every feature off; JSON without a [deployment] field decodes to it. *)
+
+val features : deployment -> string list
+(** Names of the features switched on, in field order. *)
+
 type t = {
   sc_seed : int;  (** engine + client-RNG seed *)
   sc_partitions : int;
@@ -76,6 +103,7 @@ type t = {
           many initial shards when positive. 0 — the default, and what
           pinned JSON from before the field existed decodes to — runs
           with the topology off. *)
+  sc_deployment : deployment;
   sc_events : event list;  (** sorted by {!event_time} *)
 }
 
@@ -111,12 +139,12 @@ val generate_longhaul : seed:int -> t
 (** Durability-focused generator (DESIGN.md §13): minutes of virtual
     time per schedule, client traffic paced with think time across the
     whole horizon, and 8–20 crash/rejoin cycles spaced tens of virtual
-    seconds apart with migrations racing the down windows. Run with the
-    driver's [durability] and [longhaul] options: the horizon spans
-    hundreds of checkpoint intervals, so every rejoin exercises the
-    bootstrap-from-checkpoint path and the driver's memory-bound and
+    seconds apart with migrations racing the down windows. Its
+    deployment switches on [durability] and [longhaul]: the horizon
+    spans hundreds of checkpoint intervals, so every rejoin exercises
+    the bootstrap-from-checkpoint path and the driver's memory-bound and
     O(delta)-rejoin verdicts are meaningful. Same liveness envelope as
-    {!generate}. *)
+    {!generate}. The other generators leave every feature off. *)
 
 val generate_elastic : seed:int -> t
 (** Elastic-topology generator (DESIGN.md §15): a 4-group pool with 2

@@ -2,12 +2,9 @@ module Metrics = Heron_obs.Metrics
 
 let m_steps = Metrics.counter Metrics.default "chaos.shrink_steps"
 
-let reproduces ~pipeline ~durability ~longhaul ~fast_reads sc events ~kind =
+let reproduces sc events ~kind =
   Metrics.incr m_steps;
-  match
-    Driver.run ~pipeline ~durability ~longhaul ~fast_reads
-      { sc with Schedule.sc_events = events }
-  with
+  match Driver.run { sc with Schedule.sc_events = events } with
   | Driver.Failed f -> String.equal (Driver.failure_kind f) kind
   | Driver.Completed _ -> false
 
@@ -28,8 +25,7 @@ let chunks n l =
   in
   go 0 l []
 
-let minimize ?(pipeline = false) ?(durability = false) ?(longhaul = false)
-    ?(fast_reads = false) sc ~kind =
+let minimize sc ~kind =
   let rec ddmin events n =
     let len = List.length events in
     if len <= 1 then events
@@ -41,7 +37,7 @@ let minimize ?(pipeline = false) ?(durability = false) ?(longhaul = false)
         | [] -> None
         | chunk :: after ->
             let complement = List.concat (List.rev_append before after) in
-            if complement <> [] && reproduces ~pipeline ~durability ~longhaul ~fast_reads sc complement ~kind then
+            if complement <> [] && reproduces sc complement ~kind then
               Some complement
             else try_complements (chunk :: before) after
       in
@@ -50,5 +46,5 @@ let minimize ?(pipeline = false) ?(durability = false) ?(longhaul = false)
       | None -> if n >= len then events else ddmin events (min len (2 * n))
   in
   let events = sc.Schedule.sc_events in
-  if events = [] || not (reproduces ~pipeline ~durability ~longhaul ~fast_reads sc events ~kind) then sc
+  if events = [] || not (reproduces sc events ~kind) then sc
   else { sc with Schedule.sc_events = ddmin events 2 }

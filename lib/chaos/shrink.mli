@@ -14,18 +14,10 @@
     [chaos.shrink_steps]; schedules have tens of events, so a shrink
     is tens of runs. *)
 
-val minimize :
-  ?pipeline:bool ->
-  ?durability:bool ->
-  ?longhaul:bool ->
-  ?fast_reads:bool ->
-  Schedule.t ->
-  kind:string ->
-  Schedule.t
+val minimize : Schedule.t -> kind:string -> Schedule.t
 (** [minimize sc ~kind] assumes [Driver.run sc] fails with
     [Driver.failure_kind f = kind] and returns the schedule restricted
     to a 1-minimal event subset that still does. If the assumption is
-    wrong the input comes back unchanged. [pipeline], [durability],
-    [longhaul] and [fast_reads] must match the configuration under
-    which the failure was observed — every candidate run replays with
-    them. *)
+    wrong the input comes back unchanged. Every candidate replays under
+    [sc.sc_deployment], and the result keeps it, so a shrunk pin
+    replays under the deployment its failure was observed in. *)

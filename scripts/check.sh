@@ -62,8 +62,10 @@ dune exec bin/probe.exe -- chaos --seeds 0..119 --shrink --corpus test/corpus
 
 echo "== pipelined chaos sweep =="
 # The same schedule space with the compartmentalized pipeline on
-# (DESIGN.md §12), plus the pinned corpus replayed under pipelining —
-# schedules are config-agnostic, so every pin guards both loops.
+# (DESIGN.md §12), plus the pinned corpus replayed with the pipeline
+# on top of the deployment each pin records, so every pin guards both
+# loops. Longhaul pins replay with durability and the flat-memory
+# verdict armed, as they record.
 dune exec bin/probe.exe -- chaos --seeds 0..200 --pipeline --shrink --corpus test/corpus
 dune exec bin/probe.exe -- chaos --replay test/corpus --pipeline
 
@@ -71,8 +73,8 @@ echo "== fast-reads chaos sweep =="
 # The same schedule space with lease-based local reads on (DESIGN.md
 # §14): single-partition reads served from lease holders' local stores
 # under crashes, restarts and migrations, judged by the same
-# linearizability verdict. The pinned corpus replays under the flag
-# too — schedules are config-agnostic.
+# linearizability verdict. The pinned corpus replays with leases added
+# to the deployment each pin records.
 dune exec bin/probe.exe -- chaos --seeds 0..200 --fast-reads --shrink --corpus test/corpus
 dune exec bin/probe.exe -- chaos --replay test/corpus --fast-reads
 
@@ -97,12 +99,9 @@ echo "== longhaul chaos smoke =="
 # Long-horizon durability schedules (DESIGN.md §13): minutes of virtual
 # time per seed with checkpointing on; verdicts include flat memory
 # (bounded update/multicast logs) and O(delta) rejoin, not just
-# linearizability. Pinned longhaul schedules replay under the same
-# flags.
+# linearizability. Pinned longhaul schedules record that deployment,
+# so the corpus replays above already run them under it.
 dune exec bin/probe.exe -- longhaul --seeds 0..39 --shrink --corpus test/corpus
-for f in test/corpus/longhaul_*.json; do
-  dune exec bin/probe.exe -- longhaul --replay "$f"
-done
 
 echo "== bench ablations smoke =="
 # The grace, parallel-execution and multicast-batching ablation tables

@@ -56,28 +56,31 @@ let test_generate_envelope () =
       sc.Schedule.sc_events
   done
 
-let json_roundtrip_prop =
-  QCheck.Test.make ~name:"of_json (to_json s) = Ok s" ~count:300
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let sc = Schedule.generate ~seed in
-      match Schedule.of_json (Schedule.to_json sc) with
+(* Generated schedules validate and survive a JSON roundtrip, each under
+   a deployment drawn at random so every feature combination is covered. *)
+let roundtrip_prop ~name ~count gen =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair (int_bound 100_000) (int_bound 15))
+    (fun (seed, bits) ->
+      let on i = bits land (1 lsl i) <> 0 in
+      let deployment =
+        { Schedule.pipeline = on 0; fast_reads = on 1; durability = on 2; longhaul = on 3 }
+      in
+      let sc = { (gen ~seed) with Schedule.sc_deployment = deployment } in
+      match
+        Result.bind (Schedule.validate sc) (fun () -> Schedule.of_json (Schedule.to_json sc))
+      with
       | Ok sc' -> sc' = Schedule.normalize sc
       | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+
+let json_roundtrip_prop =
+  roundtrip_prop ~name:"of_json (to_json s) = Ok s" ~count:300 Schedule.generate
 
 (* The reconfig generator keeps the same liveness envelope and always
    produces migrations timed into the crash/restart windows. *)
 let reconfig_generator_prop =
-  QCheck.Test.make ~name:"reconfig schedules validate and roundtrip" ~count:300
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let sc = Schedule.generate_reconfig ~seed in
-      match Schedule.validate sc with
-      | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg
-      | Ok () -> (
-          match Schedule.of_json (Schedule.to_json sc) with
-          | Ok sc' -> sc' = Schedule.normalize sc
-          | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg))
+  roundtrip_prop ~name:"reconfig schedules validate and roundtrip" ~count:300
+    Schedule.generate_reconfig
 
 let test_reconfig_generator_overlap () =
   for seed = 0 to 199 do
@@ -120,16 +123,8 @@ let test_reconfig_generator_overlap () =
    schedule itself ([sc_shards]) and times shard splits/merges into
    the crash/restart windows, so crashes land mid-split. *)
 let elastic_generator_prop =
-  QCheck.Test.make ~name:"elastic schedules validate and roundtrip" ~count:300
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let sc = Schedule.generate_elastic ~seed in
-      match Schedule.validate sc with
-      | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg
-      | Ok () -> (
-          match Schedule.of_json (Schedule.to_json sc) with
-          | Ok sc' -> sc' = Schedule.normalize sc
-          | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg))
+  roundtrip_prop ~name:"elastic schedules validate and roundtrip" ~count:300
+    Schedule.generate_elastic
 
 let test_elastic_generator_shape () =
   for seed = 0 to 199 do
@@ -171,29 +166,36 @@ let test_elastic_generator_shape () =
   if !overlapping < 50 then
     Alcotest.failf "only %d of 200 seeds crash mid-reshard" !overlapping
 
+(* [sc] as a pin written before the fields [keys] existed decodes. *)
+let decode_without keys sc =
+  match Schedule.to_json sc with
+  | Heron_obs.Json.Obj fields -> (
+      let old = List.filter (fun (k, _) -> not (List.mem k keys)) fields in
+      match Schedule.of_json (Heron_obs.Json.Obj old) with
+      | Ok sc' -> sc'
+      | Error msg -> Alcotest.fail msg)
+  | _ -> Alcotest.fail "to_json did not produce an object"
+
 (* Pre-topology pins (no "shards" field) decode to sc_shards = 0: the
    topology stays off and old corpus files replay unchanged. *)
 let test_elastic_field_back_compat () =
   let sc = Schedule.generate ~seed:3 in
   check_int "classic generator leaves topology off" 0 sc.Schedule.sc_shards;
-  match Schedule.of_json (Schedule.to_json sc) with
-  | Ok sc' -> check_int "roundtrips as off" 0 sc'.Schedule.sc_shards
-  | Error msg -> Alcotest.fail msg
+  check_int "decodes as off" 0 (decode_without [ "shards" ] sc).Schedule.sc_shards
+
+(* Pins from before the deployment field decode to every feature off,
+   the deployment they were judged under. *)
+let test_deployment_field_back_compat () =
+  let sc = decode_without [ "deployment" ] (Schedule.generate_longhaul ~seed:3) in
+  check_bool "decodes to no features" true
+    (sc.Schedule.sc_deployment = Schedule.no_features)
 
 (* The longhaul generator (DESIGN.md §13) trades event density for
    duration: minutes of virtual time, paced traffic, repeated
    crash/rejoin cycles with migrations racing the down windows. *)
 let longhaul_generator_prop =
-  QCheck.Test.make ~name:"longhaul schedules validate and roundtrip" ~count:100
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let sc = Schedule.generate_longhaul ~seed in
-      match Schedule.validate sc with
-      | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg
-      | Ok () -> (
-          match Schedule.of_json (Schedule.to_json sc) with
-          | Ok sc' -> sc' = Schedule.normalize sc
-          | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg))
+  roundtrip_prop ~name:"longhaul schedules validate and roundtrip" ~count:100
+    Schedule.generate_longhaul
 
 let test_longhaul_generator_shape () =
   for seed = 0 to 49 do
@@ -226,33 +228,22 @@ let test_longhaul_generator_shape () =
 let test_old_pins_parse_without_horizon () =
   (* Pins written before sc_horizon_ns/sc_think_ns existed must keep
      loading with the classic defaults. *)
-  let sc = Schedule.generate ~seed:3 in
-  match Schedule.to_json sc with
-  | Heron_obs.Json.Obj fields ->
-      let stripped =
-        Heron_obs.Json.Obj
-          (List.filter
-             (fun (k, _) -> k <> "horizon_ns" && k <> "think_ns")
-             fields)
-      in
-      (match Schedule.of_json stripped with
-      | Ok sc' ->
-          check_int "default horizon" Schedule.default_horizon_ns
-            sc'.Schedule.sc_horizon_ns;
-          check_int "default think" 0 sc'.Schedule.sc_think_ns
-      | Error msg -> Alcotest.fail msg)
-  | _ -> Alcotest.fail "to_json did not produce an object"
+  let sc = decode_without [ "horizon_ns"; "think_ns" ] (Schedule.generate ~seed:3) in
+  check_int "default horizon" Schedule.default_horizon_ns sc.Schedule.sc_horizon_ns;
+  check_int "default think" 0 sc.Schedule.sc_think_ns
 
-let test_file_roundtrip () =
-  let sc = Schedule.generate ~seed:7 in
+(* [sc] saved to a temporary file and loaded back. *)
+let through_file sc =
   let file = Filename.temp_file "chaos_sched" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Schedule.save sc ~file;
-      match Schedule.load ~file with
-      | Ok sc' -> check_bool "load inverts save" true (sc' = sc)
-      | Error msg -> Alcotest.fail msg)
+      match Schedule.load ~file with Ok sc' -> sc' | Error msg -> Alcotest.fail msg)
+
+let test_file_roundtrip () =
+  let sc = Schedule.generate ~seed:7 in
+  check_bool "load inverts save" true (through_file sc = sc)
 
 let test_json_rejects_garbage () =
   let reject j =
@@ -310,12 +301,12 @@ let test_validate_catches () =
 
 (* {1 Driver} *)
 
-let test_driver_clean_seeds () =
-  (* A handful of generated schedules complete and pass all checks; the
-     full sweep lives in scripts/check.sh and CI. *)
+(* Every schedule [gen] derives from [seeds] completes all its
+   operations and passes every verdict. *)
+let seeds_complete gen seeds () =
   List.iter
     (fun seed ->
-      let sc = Schedule.generate ~seed in
+      let sc = gen ~seed in
       match Driver.run sc with
       | Driver.Completed { completed } ->
           check_int (Printf.sprintf "seed %d op count" seed)
@@ -324,28 +315,25 @@ let test_driver_clean_seeds () =
       | Driver.Failed f ->
           Alcotest.failf "seed %d: %s" seed
             (Format.asprintf "%a" Driver.pp_failure f))
-    [ 0; 1; 2 ]
+    seeds
 
-let test_driver_elastic_seeds () =
-  (* A handful of elastic schedules — splits and merges racing crashes
-     and laggers — complete and linearize; the 100-seed sweep lives in
-     scripts/check.sh and CI. *)
-  List.iter
-    (fun seed ->
-      let sc = Schedule.generate_elastic ~seed in
-      match Driver.run sc with
-      | Driver.Completed { completed } ->
-          check_int (Printf.sprintf "elastic seed %d op count" seed)
-            (sc.Schedule.sc_clients * sc.Schedule.sc_ops)
-            completed
-      | Driver.Failed f ->
-          Alcotest.failf "elastic seed %d: %s" seed
-            (Format.asprintf "%a" Driver.pp_failure f))
-    [ 0; 1; 7 ]
+(* A handful of generated schedules complete and pass all checks; the
+   full sweep lives in scripts/check.sh and CI. *)
+let test_driver_clean_seeds = seeds_complete Schedule.generate [ 0; 1; 2 ]
+
+(* A handful of elastic schedules — splits and merges racing crashes
+   and laggers — complete and linearize; the 100-seed sweep lives in
+   scripts/check.sh and CI. *)
+let test_driver_elastic_seeds = seeds_complete Schedule.generate_elastic [ 0; 1; 7 ]
 
 let test_driver_deterministic () =
   let sc = Schedule.generate ~seed:5 in
   check_bool "same schedule, same outcome" true (Driver.run sc = Driver.run sc)
+
+(* A counter of the registry one run's deployment was built on. *)
+let run_counter sys name =
+  Metrics.counter_value
+    (Metrics.counter (Heron_core.System.config sys).Heron_core.Config.metrics name)
 
 let test_driver_metrics () =
   let runs = Metrics.counter Metrics.default "chaos.schedules_run" in
@@ -369,14 +357,14 @@ let test_driver_skips_unsafe_injections () =
             Schedule.Crash { part = 0; idx = 2; at = 600_000 };
             Schedule.Restart { part = 0; idx = 1; at = 900_000 } ] }
   in
-  let skipped = Metrics.counter Metrics.default "chaos.injections_skipped" in
-  let before = Metrics.counter_value skipped in
-  (match Driver.run sc with
+  let skipped = ref 0 in
+  let inspect sys = skipped := run_counter sys "chaos.injections_skipped" in
+  (match Driver.run ~inspect sc with
   | Driver.Completed _ -> ()
   | Driver.Failed f ->
       Alcotest.failf "envelope run failed: %s"
         (Format.asprintf "%a" Driver.pp_failure f));
-  check_bool "injections were skipped" true (Metrics.counter_value skipped > before)
+  check_bool "injections were skipped" true (!skipped > 0)
 
 (* {2 Durability refinement (DESIGN.md §13)}
 
@@ -404,6 +392,10 @@ let outcome_kind = function
   | Driver.Completed _ -> "completed"
   | Driver.Failed f -> Driver.failure_kind f
 
+let with_features sc d = { sc with Schedule.sc_deployment = d }
+let durable = { Schedule.no_features with Schedule.durability = true }
+let fast_reads = { Schedule.no_features with Schedule.fast_reads = true }
+
 let durability_refinement_state_prop =
   QCheck.Test.make
     ~name:"durability on/off: byte-identical state on incr-only workloads"
@@ -415,7 +407,8 @@ let durability_refinement_state_prop =
       in
       let d_on = ref None and d_off = ref None in
       let o_on =
-        Driver.run ~durability:true ~inspect:(fun s -> d_on := Some (state_digest s)) sc
+        Driver.run ~inspect:(fun s -> d_on := Some (state_digest s))
+          (with_features sc durable)
       in
       let o_off = Driver.run ~inspect:(fun s -> d_off := Some (state_digest s)) sc in
       match (o_on, o_off) with
@@ -439,7 +432,7 @@ let durability_refinement_verdict_prop =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let sc = Schedule.generate ~seed in
-      let k_on = outcome_kind (Driver.run ~durability:true sc) in
+      let k_on = outcome_kind (Driver.run (with_features sc durable)) in
       let k_off = outcome_kind (Driver.run sc) in
       if k_on <> k_off then
         QCheck.Test.fail_reportf "seed %d: %s (on) vs %s (off)" seed k_on k_off
@@ -462,7 +455,7 @@ let fast_reads_refinement_verdict_prop =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let sc = Schedule.generate ~seed in
-      let k_on = outcome_kind (Driver.run ~fast_reads:true sc) in
+      let k_on = outcome_kind (Driver.run (with_features sc fast_reads)) in
       let k_off = outcome_kind (Driver.run sc) in
       if k_on <> k_off then
         QCheck.Test.fail_reportf "seed %d: %s (on) vs %s (off)" seed k_on k_off
@@ -473,47 +466,36 @@ let test_fast_reads_serve_locally () =
      never fired; pin that it does. Mixed workloads are read-heavy
      enough that a lease-holding replica serves at least one Get
      locally across a few schedules. *)
-  let served = Metrics.counter Metrics.default "reads.local_served" in
-  let before = Metrics.counter_value served in
+  let served = ref 0 in
+  let count sys = served := !served + run_counter sys "reads.local_served" in
   List.iter
     (fun seed ->
-      match Driver.run ~fast_reads:true (Schedule.generate ~seed) with
+      let sc = with_features (Schedule.generate ~seed) fast_reads in
+      match Driver.run ~inspect:count sc with
       | Driver.Completed _ -> ()
       | Driver.Failed f ->
           Alcotest.failf "fast-read seed %d: %s" seed
             (Format.asprintf "%a" Driver.pp_failure f))
     [ 0; 1; 2 ];
-  check_bool "some reads served from leases" true
-    (Metrics.counter_value served > before)
+  check_bool "some reads served from leases" true (!served > 0)
 
 (* {2 Longhaul driver} *)
 
-let test_longhaul_seeds_pass () =
-  (* One full longhaul run: minutes of virtual time, repeated
-     crash/rejoin/migrate cycles, flat-memory and O(delta)-rejoin
-     verdicts on top of linearizability. The wide sweep lives in
-     scripts/check.sh and CI. *)
-  List.iter
-    (fun seed ->
-      let sc = Schedule.generate_longhaul ~seed in
-      match Driver.run ~durability:true ~longhaul:true sc with
-      | Driver.Completed { completed } ->
-          check_int
-            (Printf.sprintf "longhaul seed %d op count" seed)
-            (sc.Schedule.sc_clients * sc.Schedule.sc_ops)
-            completed
-      | Driver.Failed f ->
-          Alcotest.failf "longhaul seed %d: %s" seed
-            (Format.asprintf "%a" Driver.pp_failure f))
-    [ 0; 1 ]
+(* Full longhaul runs: minutes of virtual time, repeated
+   crash/rejoin/migrate cycles, flat-memory and O(delta)-rejoin verdicts
+   on top of linearizability, under the deployment the generator
+   records. The wide sweep lives in scripts/check.sh and CI. *)
+let test_longhaul_seeds_pass = seeds_complete Schedule.generate_longhaul [ 0; 1 ]
 
 let test_longhaul_flags_nondurable_baseline () =
   (* The whole point of the longhaul verdict: the same schedule without
      durability retains O(history) logs and must fail [Unbounded] —
      proving the bounds actually bite and BENCH_longhaul's baseline
-     comparison is honest. *)
+     comparison is honest. The run goes through a saved pin with no
+     other input, so the pin carries its deployment. *)
   let sc = Schedule.generate_longhaul ~seed:0 in
-  match Driver.run ~durability:false ~longhaul:true sc with
+  let sc = with_features sc { sc.Schedule.sc_deployment with Schedule.durability = false } in
+  match Driver.run (through_file sc) with
   | Driver.Failed (Driver.Unbounded _) -> ()
   | o ->
       Alcotest.failf "non-durable baseline not flagged: %s"
@@ -581,22 +563,8 @@ let test_corpus_replays () =
           (match Schedule.validate sc with
           | Ok () -> ()
           | Error msg -> Alcotest.failf "%s: invalid: %s" file msg);
-          (* Pins replay under the configuration that judged them:
-             longhaul_* with durability on and the flat-memory verdict
-             armed, *fastreads_* with lease-based local reads on. *)
-          let base = Filename.basename file in
-          let has_prefix p =
-            String.length base >= String.length p
-            && String.sub base 0 (String.length p) = p
-          in
-          let contains needle =
-            let n = String.length needle and l = String.length base in
-            let rec go i = i + n <= l && (String.sub base i n = needle || go (i + 1)) in
-            go 0
-          in
-          let longhaul = has_prefix "longhaul_" in
-          let fast_reads = contains "fastreads_" in
-          match Driver.run ~durability:longhaul ~longhaul ~fast_reads sc with
+          (* Pins replay under the deployment they record. *)
+          match Driver.run sc with
           | Driver.Completed _ -> ()
           | Driver.Failed f ->
               Alcotest.failf "%s REGRESSED: %s" file
@@ -617,6 +585,8 @@ let suite =
         tc "elastic generator shape" test_elastic_generator_shape;
         tc "pre-topology pins decode with topology off"
           test_elastic_field_back_compat;
+        tc "pre-deployment pins decode with features off"
+          test_deployment_field_back_compat;
         Qc.test longhaul_generator_prop;
         tc "longhaul generator shape" test_longhaul_generator_shape;
         tc "pre-durability pins parse (no horizon field)"

@@ -56,7 +56,6 @@ let run_ablations ~quick =
         [
           Experiments.ablation_grace ~quick ();
           Experiments.ablation_parallel ~quick ();
-          Experiments.ablation_batching ~quick ();
         ])
 
 let run_micro_kv ~quick =

@@ -298,6 +298,11 @@ let run_chaos cmd args =
     misuse "longhaul is its own family: --reconfig and --elastic do not apply";
   if !seeds <> None && !replays <> [] then
     misuse "--seeds sweeps generated schedules, --replay pinned ones: pick one";
+  (* A family picks the generator, which a replay never calls. *)
+  if !replays <> [] && (longhaul || !reconfig || !elastic) then
+    misuse
+      "a pin records its own deployment: replay it with probe chaos --replay \
+       and no --reconfig or --elastic";
   let family, gen =
     if longhaul then ("longhaul", Sched.generate_longhaul)
     else if !elastic then ("elastic", Sched.generate_elastic)

@@ -24,9 +24,6 @@ let failure_kind = function
   | Unbounded _ -> "unbounded"
   | Crashed _ -> "crashed"
 
-let m_runs = Metrics.counter Metrics.default "chaos.schedules_run"
-let m_failures = Metrics.counter Metrics.default "chaos.failures"
-
 let gen_op sc rng =
   match sc.S.sc_workload with
   | S.Incr_all -> Kv_app.Incr_all [ 0; 1 ]
@@ -426,16 +423,11 @@ let run_exn ?inspect sc =
   end
 
 let run ?inspect sc =
-  Metrics.incr m_runs;
-  let verdict =
-    (* An exception out of the event loop is protocol code breaking (an
-       assert, an array bound), not the harness: capture it as a
-       failure so it can be shrunk and pinned like any other. *)
-    try run_exn ?inspect sc
-    with e -> Failed (Crashed { detail = Printexc.to_string e })
-  in
-  (match verdict with Failed _ -> Metrics.incr m_failures | Completed _ -> ());
-  verdict
+  (* An exception out of the event loop is protocol code breaking (an
+     assert, an array bound), not the harness: capture it as a failure
+     so it can be shrunk and pinned like any other. *)
+  try run_exn ?inspect sc
+  with e -> Failed (Crashed { detail = Printexc.to_string e })
 
 let pp_failure ppf = function
   | Stalled { completed; expected } ->

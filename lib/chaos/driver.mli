@@ -38,8 +38,7 @@
 
     Every run builds its deployment on its own metrics registry
     ([Config.metrics] of the system handed to [inspect]), which also
-    counts [chaos.injections_skipped]. Sweep-level counters
-    [chaos.schedules_run] and [chaos.failures] go to
+    counts [chaos.injections_skipped]; a run writes nothing to
     {!Heron_obs.Metrics.default}. *)
 
 type failure =

@@ -1,9 +1,4 @@
-module Metrics = Heron_obs.Metrics
-
-let m_steps = Metrics.counter Metrics.default "chaos.shrink_steps"
-
 let reproduces sc events ~kind =
-  Metrics.incr m_steps;
   match Driver.run { sc with Schedule.sc_events = events } with
   | Driver.Failed f -> String.equal (Driver.failure_kind f) kind
   | Driver.Completed _ -> false

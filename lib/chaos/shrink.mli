@@ -10,9 +10,8 @@
 
     This is Zeller's ddmin: try dropping chunks at increasing
     granularity until no single event can be removed (1-minimality).
-    Every candidate run costs one full simulation and increments
-    [chaos.shrink_steps]; schedules have tens of events, so a shrink
-    is tens of runs. *)
+    Every candidate run costs one full simulation; schedules have tens
+    of events, so a shrink is tens of runs. *)
 
 val minimize : Schedule.t -> kind:string -> Schedule.t
 (** [minimize sc ~kind] assumes [Driver.run sc] fails with

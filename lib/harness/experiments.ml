@@ -547,50 +547,6 @@ let ablation_parallel ?(quick = false) () =
     [ None; Some 1; Some 2; Some 4; Some 8 ];
   table
 
-(* {1 Multicast batching ablation (extension)} *)
-
-let ablation_batching ?(quick = false) () =
-  let table =
-    Table.make
-      ~title:
-        "Ablation: multicast batching (Heron null requests, 2 partitions, saturation)"
-      ~headers:
-        [ "batching"; "clients"; "tput (ktps)"; "avg lat (us)"; "p95 (us)" ]
-  in
-  List.iter
-    (fun batching ->
-      List.iter
-        (fun clients ->
-          let eng = Engine.create ~seed:6 () in
-          let cfg =
-            let c = Config.default ~partitions:2 ~replicas:3 in
-            { c with Config.mcast = { c.Config.mcast with Ramcast.batching } }
-          in
-          let sys = System.create eng ~cfg ~app:Driver.null_app in
-          System.start sys;
-          let rs =
-            Driver.run_system
-              ~warmup:(Time_ns.ms (if quick then 2 else 5))
-              ~measure:(Time_ns.ms (if quick then 8 else 20))
-              ~sys ~clients
-              ~gen:(fun ~client rng ->
-                ignore client;
-                ( { Driver.nr_dst = []; nr_bytes = 200 },
-                  Some (null_dst ~partitions:2 rng) ))
-              ()
-          in
-          Table.add_row table
-            [
-              (if batching then "on" else "off");
-              string_of_int clients;
-              kt rs.Driver.rs_throughput_tps;
-              us_mean rs.Driver.rs_latency;
-              Table.cell_us (Sample_set.percentile rs.Driver.rs_latency 95.);
-            ])
-        (if quick then [ 16 ] else [ 8; 32; 64 ]))
-    [ false; true ];
-  table
-
 (* {1 Key-value microbenchmark (extension)}
 
    The evaluation style of the full-replication RDMA systems Heron's

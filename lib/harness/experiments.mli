@@ -46,11 +46,6 @@ val ablation_parallel : ?quick:bool -> unit -> Table.t
     4 and 8 executors per replica; non-conflicting single-partition
     requests execute concurrently. *)
 
-val ablation_batching : ?quick:bool -> unit -> Table.t
-(** Extension: replication batching in the multicast layer (RamCast
-    batches; our calibrated default does not) — throughput/latency of
-    null requests with batching on and off at increasing load. *)
-
 val micro_kv : ?quick:bool -> unit -> Table.t * Table.t
 (** Extension: key-value microbenchmarks in the style of the
     full-replication RDMA systems Heron's related work compares against

@@ -9,7 +9,6 @@ type config = {
   entry_hdr_bytes : int;
   leader_check_ns : int;
   resubmit_delay_ns : int;
-  batching : bool;
 }
 
 let default_config =
@@ -21,7 +20,6 @@ let default_config =
     entry_hdr_bytes = 48;
     leader_check_ns = 200_000;
     resubmit_delay_ns = 100_000;
-    batching = false;
   }
 
 type 'a delivery = {
@@ -36,11 +34,9 @@ type 'a msg_info = { mi_uid : int; mi_dst : int list; mi_payload : 'a; mi_size :
 type 'a ctrl =
   | Submit of 'a msg_info
   | Propose of { p_uid : int; p_gid : int; p_ts : int }
-  | Log_write of { entry : 'a delivery }
-  | Log_batch of { entries : 'a delivery list }
+  | Log_write of { entries : 'a delivery list }
   | Ack of { a_uid : int }
-  | Commit of { c_uid : int }
-  | Commit_batch of { c_uids : int list }
+  | Commit of { c_uids : int list }
 
 type 'a pending = {
   pn_msg : 'a msg_info;
@@ -255,11 +251,7 @@ let drain_commits t (m : 'a member) =
         List.iter (deliver_local m) c.cm_entries;
         (* Followers deliver on this notification, so the leader
            delivers first (as in RamCast). *)
-        let notice =
-          match c.cm_entries with
-          | [ e ] -> Commit { c_uid = e.d_uid }
-          | es -> Commit_batch { c_uids = List.map (fun e -> e.d_uid) es }
-        in
+        let notice = Commit { c_uids = List.map (fun e -> e.d_uid) c.cm_entries } in
         Array.iter
           (fun (fo : 'a member) ->
             if fo.m_idx <> m.m_idx then
@@ -294,33 +286,20 @@ let decide t (m : 'a member) (p : 'a pending) =
   entry
 
 (* Replicate decided entries to the followers and queue them for local
-   delivery once a majority of the group stores them. Without batching,
-   one replication write per entry; with batching, every entry that
-   became deliverable together travels in one write (amortizing headers
-   and per-message processing, as RamCast does). *)
+   delivery once a majority of the group stores them. Every entry that
+   became deliverable together travels in one write and commits
+   together, amortizing per-message processing as RamCast does. A write
+   of several entries carries a 16-byte batch header; a lone entry
+   travels without one. *)
 let replicate t (m : 'a member) entries =
-  let g = t.groups.(m.m_gid) in
-  let send (follower : 'a member) =
-    if t.cfg.batching then
-      post_ctrl t ~src:m.m_node ~dst:follower
-        ~bytes:(List.fold_left (fun acc e -> acc + entry_bytes t e) 16 entries)
-        (Log_batch { entries })
-    else
-      List.iter
-        (fun entry ->
-          post_ctrl t ~src:m.m_node ~dst:follower ~bytes:(entry_bytes t entry)
-            (Log_write { entry }))
-        entries
-  in
-  Array.iter (fun fo -> if fo.m_idx <> m.m_idx then send fo) g.g_members;
-  let decided = now t in
-  if t.cfg.batching then
-    Queue.push { cm_entries = entries; cm_acks = 0; cm_decided = decided } m.m_commits
-  else
-    List.iter
-      (fun e ->
-        Queue.push { cm_entries = [ e ]; cm_acks = 0; cm_decided = decided } m.m_commits)
-      entries;
+  let hdr = match entries with [ _ ] -> 0 | _ -> 16 in
+  let bytes = List.fold_left (fun acc e -> acc + entry_bytes t e) hdr entries in
+  Array.iter
+    (fun (fo : 'a member) ->
+      if fo.m_idx <> m.m_idx then
+        post_ctrl t ~src:m.m_node ~dst:fo ~bytes (Log_write { entries }))
+    t.groups.(m.m_gid).g_members;
+  Queue.push { cm_entries = entries; cm_acks = 0; cm_decided = now t } m.m_commits;
   drain_commits t m
 
 (* Dispatch every pending message that is final and minimal by
@@ -441,14 +420,9 @@ let handle_ctrl t (m : 'a member) ctrl =
         | None -> stash_early m ~uid:p_uid ~gid:p_gid ~ts:p_ts
       end
       else stash_early m ~uid:p_uid ~gid:p_gid ~ts:p_ts
-  | Log_write { entry } ->
-      if accept_entry m entry then begin
-        let lead = current_leader t m.m_gid in
-        post_ctrl t ~src:m.m_node ~dst:lead ~bytes:t.cfg.ack_bytes
-          (Ack { a_uid = entry.d_uid });
-        drain_follower m
-      end
-  | Log_batch { entries } ->
+  | Log_write { entries } ->
+      (* One ack for the write: the leader counts it for the commit
+         that holds the entries. *)
       let accepted = List.filter (accept_entry m) entries in
       (match List.rev accepted with
       | last :: _ ->
@@ -457,10 +431,7 @@ let handle_ctrl t (m : 'a member) ctrl =
             (Ack { a_uid = last.d_uid });
           drain_follower m
       | [] -> ())
-  | Commit { c_uid } ->
-      Hashtbl.replace m.m_committed c_uid ();
-      drain_follower m
-  | Commit_batch { c_uids } ->
+  | Commit { c_uids } ->
       List.iter (fun uid -> Hashtbl.replace m.m_committed uid ()) c_uids;
       drain_follower m
   | Ack { a_uid } ->

@@ -16,7 +16,10 @@
     + the leader replicates dispatched messages to its followers in
       delivery order (RC queue pairs keep follower logs in leader
       order) and delivers after a majority of the group has the
-      message.
+      message. Messages that become deliverable together travel in
+      one log write and are commit-notified in one notice, as RamCast
+      does; a write of several entries pays a 16-byte batch header, a
+      write of one entry pays none.
 
     Guarantees (paper Section II-B): validity, integrity, uniform
     agreement within the failure bound, uniform prefix order and uniform
@@ -36,12 +39,8 @@ type config = {
   entry_hdr_bytes : int;  (** header added to a replicated log entry *)
   leader_check_ns : int;  (** follower's leader liveness poll period *)
   resubmit_delay_ns : int;  (** client backoff before retrying a submit *)
-  batching : bool;
-      (** replicate all entries that become deliverable together in one
-          write (and commit-notify them together), amortizing headers
-          and per-message processing as RamCast does. Off by default:
-          the calibrated latency model assumes per-entry replication. *)
 }
+(** Timing and wire-size parameters of the protocol. *)
 
 val default_config : config
 (** 2.5 us processing, header sizes matching the prototype's wire

@@ -104,8 +104,8 @@ echo "== longhaul chaos smoke =="
 dune exec bin/probe.exe -- longhaul --seeds 0..39 --shrink --corpus test/corpus
 
 echo "== bench ablations smoke =="
-# The grace, parallel-execution and multicast-batching ablation tables
-# (EXPERIMENTS.md); nothing else runs this entry point.
+# The grace and parallel-execution ablation tables (EXPERIMENTS.md);
+# nothing else runs this entry point.
 bench quick ablations > /dev/null
 
 echo "== bench longhaul smoke =="

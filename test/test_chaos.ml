@@ -335,12 +335,6 @@ let run_counter sys name =
   Metrics.counter_value
     (Metrics.counter (Heron_core.System.config sys).Heron_core.Config.metrics name)
 
-let test_driver_metrics () =
-  let runs = Metrics.counter Metrics.default "chaos.schedules_run" in
-  let before = Metrics.counter_value runs in
-  ignore (Driver.run (Schedule.generate ~seed:11));
-  check_int "schedules_run incremented" (before + 1) (Metrics.counter_value runs)
-
 let test_driver_skips_unsafe_injections () =
   (* Events outside the envelope — crashing the multicast leader,
      crashing into a dead partition-mate, restarting a live replica —
@@ -526,12 +520,6 @@ let test_shrink_passing_unchanged () =
   let sc' = Shrink.minimize sc ~kind:"diverged" in
   check_bool "passing schedule unchanged" true (sc' = sc)
 
-let test_shrink_steps_counted () =
-  let steps = Metrics.counter Metrics.default "chaos.shrink_steps" in
-  let before = Metrics.counter_value steps in
-  ignore (Shrink.minimize (Schedule.generate ~seed:2) ~kind:"stalled");
-  check_bool "shrink steps counted" true (Metrics.counter_value steps > before)
-
 (* {1 Regression corpus}
 
    Every schedule pinned under test/corpus/ once produced a failure
@@ -600,7 +588,6 @@ let suite =
         tc "clean seeds complete" test_driver_clean_seeds;
         tc "elastic seeds complete" test_driver_elastic_seeds;
         tc "runs are deterministic" test_driver_deterministic;
-        tc "schedules_run metric" test_driver_metrics;
         tc "unsafe injections skipped" test_driver_skips_unsafe_injections;
         tc "failure kinds are stable" test_failure_kinds_stable;
       ] );
@@ -620,7 +607,6 @@ let suite =
     ( "chaos.shrink",
       [
         tc "passing schedule unchanged" test_shrink_passing_unchanged;
-        tc "shrink steps counted" test_shrink_steps_counted;
       ] );
     ( "chaos.corpus",
       [ tc "corpus present" test_corpus_nonempty; tc "replay corpus" test_corpus_replays ] );

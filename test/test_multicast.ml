@@ -51,6 +51,7 @@ let test_tstamp_out_of_range () =
 
 type world = {
   eng : Engine.t;
+  fab : Fabric.t;
   sys : string Ramcast.t;
   deliveries : string Ramcast.delivery list ref array array;
   nodes : Fabric.node array array;
@@ -60,7 +61,10 @@ type world = {
 let make_world ?(config = Ramcast.default_config) ?(seed = 1) ~n_groups ~n_replicas
     ~n_clients () =
   let eng = Engine.create ~seed () in
-  let fab = Fabric.create eng ~profile:Profile.default in
+  (* Each world counts into its own registry. *)
+  let fab =
+    Fabric.create ~metrics:(Heron_obs.Metrics.create ()) eng ~profile:Profile.default
+  in
   let nodes =
     Array.init n_groups (fun g ->
         Array.init n_replicas (fun i ->
@@ -82,7 +86,7 @@ let make_world ?(config = Ramcast.default_config) ?(seed = 1) ~n_groups ~n_repli
     done
   done;
   Ramcast.start sys;
-  { eng; sys; deliveries; nodes; clients }
+  { eng; fab; sys; deliveries; nodes; clients }
 
 let submit_all w msgs =
   (* [msgs]: (client idx, dst list, payload) triples; each client sends
@@ -166,6 +170,24 @@ let check_properties w ~n_groups ~n_replicas ~(sent : (int list * string) list) 
         s
     done
   done
+
+(* Control traffic on one directed link, read from the world's
+   registry: transfers and their bytes. From a group's leader to a
+   follower that is one proposal stash per message, plus one log write
+   and one commit notice per group of entries decided together. *)
+let link_transfers w ~src ~dst =
+  let snap = Heron_obs.Metrics.snapshot (Fabric.metrics w.fab) in
+  let labels =
+    [ ("verb", "transfer");
+      ("src", Fabric.node_name src);
+      ("dst", Fabric.node_name dst) ]
+  in
+  let get name =
+    match Heron_obs.Metrics.find snap ~labels name with
+    | Some (Heron_obs.Metrics.Counter_v v) -> v
+    | Some _ | None -> 0
+  in
+  (get "rdma.verb.count", get "rdma.verb.bytes")
 
 (* {1 Unit tests} *)
 
@@ -322,6 +344,106 @@ let test_leader_failover_multi_group () =
         (List.map (fun d -> d.Ramcast.d_payload) (seq w g i)))
     [ (0, 1); (0, 2); (1, 0); (1, 1); (1, 2) ]
 
+let test_leader_failover_batch_in_flight () =
+  (* The leader crashes while a three-entry write is in flight to the
+     follower that takes over, after the other follower stored it:
+     takeover must sync the whole batch from its peer and deliver it
+     in order. Group 1's proposal to group 0's leader is slowed so m1
+     (to both groups) is final only after m2 and m3 (group 0 only)
+     are, and the three then dispatch together. *)
+  let w = make_world ~n_groups:2 ~n_replicas:3 ~n_clients:3 () in
+  let id g i = Fabric.node_id w.nodes.(g).(i) in
+  Fabric.set_link_fault w.fab ~src:(id 1 0) ~dst:(id 0 0) ~extra_ns:(Time_ns.us 300) ();
+  Fabric.set_link_fault w.fab ~src:(id 0 0) ~dst:(id 0 1) ~extra_ns:(Time_ns.ms 1) ();
+  let send ci ~after dst p =
+    Fabric.spawn_on w.clients.(ci) (fun () ->
+        Engine.sleep after;
+        ignore (Ramcast.multicast w.sys ~from:w.clients.(ci) ~dst p))
+  in
+  send 0 ~after:0 [ 0; 1 ] "m1";
+  send 1 ~after:(Time_ns.us 20) [ 0 ] "m2";
+  send 2 ~after:(Time_ns.us 40) [ 0 ] "m3";
+  let retained_at_crash = ref (-1, -1) in
+  Engine.schedule ~delay:(Time_ns.us 600) w.eng (fun () ->
+      let retained idx = Ramcast.log_retained w.sys ~gid:0 ~idx in
+      retained_at_crash := (retained 1, retained 2);
+      Fabric.crash w.nodes.(0).(0));
+  send 0 ~after:(Time_ns.ms 2) [ 0; 1 ] "after";
+  Engine.run_until w.eng (Time_ns.ms 20);
+  Alcotest.(check (pair int int)) "batch only at replica 2 when the leader died" (0, 3)
+    !retained_at_crash;
+  check_int "three stashes, one log write, one commit notice to replica 2" 5
+    (fst (link_transfers w ~src:w.nodes.(0).(0) ~dst:w.nodes.(0).(2)));
+  check_int "replica 1 took over" 1 (Ramcast.leader_idx w.sys ~gid:0);
+  List.iter
+    (fun i ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "g0/r%d order" i)
+        [ "m1"; "m2"; "m3"; "after" ]
+        (List.map (fun d -> d.Ramcast.d_payload) (seq w 0 i)))
+    [ 1; 2 ];
+  for i = 0 to 2 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "g1/r%d order" i)
+      [ "m1"; "after" ]
+      (List.map (fun d -> d.Ramcast.d_payload) (seq w 1 i))
+  done
+
+(* {1 Replication writes} *)
+
+let test_lone_entry_no_batch_header () =
+  (* One client multicasting sequentially: each message is decided
+     alone, so its log write costs exactly the entry, with no batch
+     header. *)
+  let w = make_world ~n_groups:1 ~n_replicas:3 ~n_clients:1 () in
+  let payloads = [ "a"; "bb"; "cccc"; "dddddddd" ] in
+  submit_all w (List.map (fun p -> (0, [ 0 ], p)) payloads);
+  Engine.run_until w.eng (Time_ns.ms 5);
+  let cfg = Ramcast.default_config in
+  let per_message p =
+    cfg.Ramcast.propose_bytes
+    + (String.length p + cfg.Ramcast.entry_hdr_bytes)
+    + (8 + 8)
+  in
+  for i = 1 to 2 do
+    let count, bytes = link_transfers w ~src:w.nodes.(0).(0) ~dst:w.nodes.(0).(i) in
+    check_int (Printf.sprintf "transfers to r%d" i) (3 * List.length payloads) count;
+    check_int (Printf.sprintf "bytes to r%d" i)
+      (List.fold_left (fun acc p -> acc + per_message p) 0 payloads)
+      bytes
+  done;
+  check_properties w ~n_groups:1 ~n_replicas:3
+    ~sent:(List.map (fun p -> ([ 0 ], p)) payloads)
+
+let test_concurrent_entries_share_writes () =
+  (* Many clients at once, to group 0, to group 1 and to both: an
+     entry whose final timestamp waits on the other group holds back
+     the entries decided behind it, which then travel in one write. *)
+  let n_clients = 9 and per_client = 5 in
+  let w = make_world ~n_groups:2 ~n_replicas:3 ~n_clients () in
+  let dsts = [| [ 0 ]; [ 1 ]; [ 0; 1 ] |] in
+  let msgs =
+    List.concat
+      (List.init n_clients (fun c ->
+           List.init per_client (fun k ->
+               (c, dsts.((c + k) mod 3), Printf.sprintf "c%d-%d" c k))))
+  in
+  submit_all w msgs;
+  Engine.run_until w.eng (Time_ns.ms 20);
+  check_properties w ~n_groups:2 ~n_replicas:3
+    ~sent:(List.map (fun (_, d, p) -> (d, p)) msgs);
+  for g = 0 to 1 do
+    let entries = List.length (List.filter (fun (_, d, _) -> List.mem g d) msgs) in
+    check_int (Printf.sprintf "g%d delivered" g) entries
+      (Ramcast.delivered_count w.sys ~gid:g ~idx:0);
+    let count, _ = link_transfers w ~src:w.nodes.(g).(0) ~dst:w.nodes.(g).(1) in
+    let log_writes = (count - entries) / 2 in
+    check_bool
+      (Printf.sprintf "g%d: %d log writes for %d entries" g log_writes entries)
+      true
+      (log_writes > 0 && log_writes < entries)
+  done
+
 (* {1 Property-based ordering tests} *)
 
 let workload_gen =
@@ -348,23 +470,6 @@ let mcast_props_prop =
         List.mapi
           (fun i (c, mask) ->
             (c, dst_of_mask n_groups mask, Printf.sprintf "p%d" i))
-          msgs
-      in
-      submit_all w triples;
-      Engine.run_until w.eng (Time_ns.ms 50);
-      check_properties w ~n_groups ~n_replicas:3
-        ~sent:(List.map (fun (_, d, p) -> (d, p)) triples);
-      true)
-
-let mcast_batching_prop =
-  QCheck.Test.make ~name:"multicast properties with batching on" ~count:20
-    (QCheck.make workload_gen)
-    (fun (n_groups, msgs) ->
-      let config = { Ramcast.default_config with batching = true } in
-      let w = make_world ~config ~n_groups ~n_replicas:3 ~n_clients:3 () in
-      let triples =
-        List.mapi
-          (fun i (c, mask) -> (c, dst_of_mask n_groups mask, Printf.sprintf "p%d" i))
           msgs
       in
       submit_all w triples;
@@ -457,11 +562,16 @@ let suite =
         tc "follower failure" test_follower_failure;
         tc "leader failover" test_leader_failover;
         tc "leader failover multi-group" test_leader_failover_multi_group;
+        tc "leader failover, batch in flight" test_leader_failover_batch_in_flight;
+      ] );
+    ( "multicast.replication",
+      [
+        tc "lone entry, no batch header" test_lone_entry_no_batch_header;
+        tc "concurrent entries share writes" test_concurrent_entries_share_writes;
       ] );
     ( "multicast.properties",
       [
         Qc.test mcast_props_prop;
-        Qc.test mcast_batching_prop;
         Qc.test mcast_follower_crash_prop;
       ] );
   ]

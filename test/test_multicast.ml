@@ -564,7 +564,7 @@ let suite =
         tc "leader failover multi-group" test_leader_failover_multi_group;
         tc "leader failover, batch in flight" test_leader_failover_batch_in_flight;
       ] );
-    ( "multicast.replication",
+    ( "multicast.writes",
       [
         tc "lone entry, no batch header" test_lone_entry_no_batch_header;
         tc "concurrent entries share writes" test_concurrent_entries_share_writes;

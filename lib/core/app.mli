@@ -46,7 +46,17 @@ type ctx = {
       (** buffer a write; the replica applies local ones after the
           callback returns (writing phase) *)
   ctx_charge : Time_ns.t -> unit;
-      (** charge simulated CPU time for application compute *)
+      (** charge simulated CPU time for application compute. The
+          charge is added to the execution's debt, together with the
+          replica's own read and write costs, and paid by one sleep
+          before the next step another fiber can observe: a store
+          write, a one-sided remote read, an exception leaving the
+          execution, or its end. Those steps keep the instants that
+          paying each charge on its own gave them; the callback's
+          virtual clock ({!Heron_sim.Engine.self_now}) does not advance
+          between charges, so its reads of the replica's own store
+          (and the replica's access counting) happen at the instant
+          the debt started. *)
 }
 
 type ('req, 'resp) t = {

@@ -340,7 +340,7 @@ let check_invariants ?(quiescent = true) r =
     List.iter
       (fun oid ->
         if !bad = None then begin
-          (* Decode the raw cell rather than calling [get_before]: the
+          (* Decode the raw cell rather than calling [lookup_before]: the
              latter counts misses into [store.dual_version_miss], and a
              checker must not perturb the metrics it runs alongside. *)
           let (_, ta), (_, tb) =
@@ -402,11 +402,10 @@ let n_replicas r = r.r_cfg.Config.replicas
 let majority r = (n_replicas r / 2) + 1
 let costs r = r.r_cfg.Config.costs
 
-let charge_deser r bytes =
-  Engine.consume (bytes * (costs r).Config.deser_per_byte_x100 / 100)
-
-let charge_ser r bytes =
-  Engine.consume (bytes * (costs r).Config.ser_per_byte_x100 / 100)
+let deser_cost r bytes = bytes * (costs r).Config.deser_per_byte_x100 / 100
+let ser_cost r bytes = bytes * (costs r).Config.ser_per_byte_x100 / 100
+let charge_deser r bytes = Engine.consume (deser_cost r bytes)
+let charge_ser r bytes = Engine.consume (ser_cost r bytes)
 
 let wait_mem r pred = Signal.wait_until (Fabric.mem_signal r.r_node) pred
 
@@ -1241,62 +1240,90 @@ let remote_fetch_cell ?bound r oid ~h ~tmp =
   in
   attempt ~tried_any:false
 
+(* {2 Execution charges}
+
+   What one execution spends on reads, writes and application compute
+   accrues as a debt owned by the call. One [Engine.consume] pays it
+   just before the next step another fiber can observe: a store write,
+   a one-sided remote read, an exception leaving [execute], or its
+   return. Those steps keep the virtual instants they had when each
+   charge was consumed on its own; the engine runs one event per step
+   instead of one per charge. Own-store reads and [count_access] now
+   happen when the debt starts, so a [drain_access_counts] inside the
+   accrued window can find a call's counts split differently. *)
+type debt = { mutable owed : Time_ns.t }
+
+let owe debt d = if d > 0 then debt.owed <- debt.owed + d
+
+let pay debt =
+  if debt.owed > 0 then begin
+    let d = debt.owed in
+    debt.owed <- 0;
+    Engine.consume d
+  end
+
+let read_cost r klass v =
+  match klass with
+  | Versioned_store.Registered -> deser_cost r (Bytes.length v)
+  | Versioned_store.Local -> (costs r).Config.read_local_ns
+
 (* Remote read with dual-version selection: take the freshest version
    older than the request; finding no old-enough version means we
    lag. *)
-let remote_read r oid ~h ~tmp =
+let remote_read r oid ~h ~tmp ~debt =
+  pay debt;
   let raw = remote_fetch_cell r oid ~h ~tmp in
   let versions = Versioned_store.decode_cell raw in
   match Versioned_store.pick_version versions ~bound:tmp with
   | Some (v, _) ->
-      charge_deser r (Bytes.length v);
+      owe debt (deser_cost r (Bytes.length v));
       v
   | None ->
       Heron_obs.Metrics.incr r.r_obs.ob_remote_miss;
       raise Lagging
 
+(* A read of this replica's own store: [Some value], charged to the
+   debt, or [None] if the object does not exist. [Lagging] if it
+   exists only in versions at or past the request: a state transfer
+   moved this replica's state ahead of the request it is executing,
+   and the transfer covering those versions also covers the request. *)
+let read_own r oid ~tmp ~debt =
+  match Versioned_store.lookup_before r.r_store oid ~bound:tmp with
+  | Versioned_store.Found (v, klass) ->
+      owe debt (read_cost r klass v);
+      Some v
+  | Versioned_store.Absent -> None
+  | Versioned_store.Too_new -> raise Lagging
+
 (* Reading phase: prefetch every object of this partition's read
    plan. *)
-let read_objects r req ~tmp =
+let read_objects r req ~tmp ~debt =
   let plan = r.r_app.App.read_plan ~part:r.r_part req.rq_payload in
-  let values = Hashtbl.create 16 in
+  let values = Hashtbl.create (List.length plan) in
   List.iter
     (fun oid ->
       if not (Hashtbl.mem values oid) then begin
         count_access r oid;
-        (* Local objects that do not exist (dynamic namespaces) are
-           simply not prefetched; the callback sees them as absent. *)
-        let local_read () =
-          if Versioned_store.mem r.r_store oid then
-            match Versioned_store.get_before r.r_store oid ~bound:tmp with
-            | Some (v, _) ->
-                (match Versioned_store.klass_of r.r_store oid with
-                | Versioned_store.Registered -> charge_deser r (Bytes.length v)
-                | Versioned_store.Local ->
-                    Engine.consume (costs r).Config.read_local_ns);
-                Hashtbl.replace values oid v
-            | None ->
-                (* Both versions are at or past the request: a state
-                   transfer moved this replica's own state ahead of the
-                   request it is executing; resynchronise (the transfer
-                   covering those versions also covers this request). *)
-                raise Lagging
-        in
         match placement_of r oid with
-        | App.Replicated -> local_read ()
-        | App.Partition h when h = r.r_part -> local_read ()
-        | App.Partition h ->
+        | App.Partition h when h <> r.r_part ->
             (* Remote Local-class objects cannot be read one-sidedly;
                the callback must guard them (partial execution). *)
             if r.r_app.App.klass_of oid = Versioned_store.Registered then
-              Hashtbl.replace values oid (remote_read r oid ~h ~tmp)
+              Hashtbl.replace values oid (remote_read r oid ~h ~tmp ~debt)
+        | App.Replicated | App.Partition _ -> (
+            (* Local objects that do not exist (dynamic namespaces) are
+               simply not prefetched; the callback sees them as
+               absent. *)
+            match read_own r oid ~tmp ~debt with
+            | Some v -> Hashtbl.replace values oid v
+            | None -> ())
       end)
     plan;
   values
 
 (* Writing phase: apply buffered writes that belong to this partition,
    tag them with the request timestamp, and log them. *)
-let write_objects r writes ~tmp =
+let write_objects r writes ~tmp ~debt =
   List.iter
     (fun (oid, v) ->
       let local =
@@ -1307,42 +1334,31 @@ let write_objects r writes ~tmp =
       in
       if local then begin
         count_access r oid;
-        (match Versioned_store.mem r.r_store oid with
-        | true -> (
-            match Versioned_store.klass_of r.r_store oid with
-            | Versioned_store.Registered -> charge_ser r (Bytes.length v)
-            | Versioned_store.Local ->
-                Engine.consume (costs r).Config.write_local_ns)
-        | false -> Engine.consume (costs r).Config.write_local_ns);
+        owe debt
+          (match Versioned_store.klass_of r.r_store oid with
+          | Versioned_store.Registered -> ser_cost r (Bytes.length v)
+          | Versioned_store.Local | (exception Not_found) ->
+              (costs r).Config.write_local_ns);
+        pay debt;
         Versioned_store.set r.r_store oid v ~tmp;
         Update_log.append r.r_log tmp oid
       end)
     (List.rev writes)
 
 (* On-demand read of a local (or replicated) object during execution:
-   [Some value] charged appropriately, [None] if the object does not
-   exist, [Lagging] if it exists but only in versions at or past the
-   request (a state transfer moved this replica's state ahead). *)
-let local_read_on_demand r values oid ~tmp =
+   [None] if the object does not exist. *)
+let local_read_on_demand r values oid ~tmp ~debt =
   match Hashtbl.find_opt values oid with
   | Some v -> Some v
-  | None -> (
+  | None ->
       count_access r oid;
-      let local = is_local r oid in
-      if not local then
+      if not (is_local r oid) then
         invalid_arg
           (Printf.sprintf "Heron: remote object %d read outside the declared read set"
              (Oid.to_int oid));
-      if not (Versioned_store.mem r.r_store oid) then None
-      else
-        match Versioned_store.get_before r.r_store oid ~bound:tmp with
-        | Some (v, _) ->
-            (match Versioned_store.klass_of r.r_store oid with
-            | Versioned_store.Registered -> charge_deser r (Bytes.length v)
-            | Versioned_store.Local -> Engine.consume (costs r).Config.read_local_ns);
-            Hashtbl.replace values oid v;
-            Some v
-        | None -> raise Lagging)
+      let v = read_own r oid ~tmp ~debt in
+      Option.iter (Hashtbl.replace values oid) v;
+      v
 
 let execute r req ~tmp =
   Engine.consume ((costs r).Config.exec_base_ns + r.r_exec_delay);
@@ -1355,29 +1371,39 @@ let execute r req ~tmp =
     if Random.State.int rng 100 < c.Config.hiccup_pct then
       Engine.consume (1_000 + Random.State.int rng (max 1 (c.Config.hiccup_max_ns - 1_000)))
   end;
-  let values = read_objects r req ~tmp in
-  let writes = ref [] in
-  let ctx =
-    {
-      App.ctx_partition = r.r_part;
-      ctx_tmp = tmp;
-      ctx_read =
-        (fun oid ->
-          match local_read_on_demand r values oid ~tmp with
-          | Some v -> v
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Heron: local object %d does not exist"
-                   (Oid.to_int oid)));
-      ctx_read_opt = (fun oid -> local_read_on_demand r values oid ~tmp);
-      ctx_is_local = (fun oid -> is_local r oid);
-      ctx_write = (fun oid v -> writes := (oid, v) :: !writes);
-      ctx_charge = Engine.consume;
-    }
-  in
-  let resp = r.r_app.App.execute ctx req.rq_payload in
-  write_objects r !writes ~tmp;
-  resp
+  let debt = { owed = 0 } in
+  match
+    let values = read_objects r req ~tmp ~debt in
+    let writes = ref [] in
+    let ctx =
+      {
+        App.ctx_partition = r.r_part;
+        ctx_tmp = tmp;
+        ctx_read =
+          (fun oid ->
+            match local_read_on_demand r values oid ~tmp ~debt with
+            | Some v -> v
+            | None ->
+                invalid_arg
+                  (Printf.sprintf "Heron: local object %d does not exist"
+                     (Oid.to_int oid)));
+        ctx_read_opt = (fun oid -> local_read_on_demand r values oid ~tmp ~debt);
+        ctx_is_local = (fun oid -> is_local r oid);
+        ctx_write = (fun oid v -> writes := (oid, v) :: !writes);
+        ctx_charge = owe debt;
+      }
+    in
+    let resp = r.r_app.App.execute ctx req.rq_payload in
+    write_objects r !writes ~tmp ~debt;
+    resp
+  with
+  | resp ->
+      pay debt;
+      resp
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      pay debt;
+      Printexc.raise_with_backtrace e bt
 
 (* Reply to the client: one transfer of the serialized response; the
    client keeps the first reply per partition. Wrong-epoch redirects
@@ -1871,18 +1897,17 @@ let try_serve_read r payload =
       with
       | exception Fast_miss -> None
       | snap -> (
-          (* Charge what the ordered path's execution would have. *)
-          Engine.consume (costs r).Config.exec_base_ns;
+          (* Charge what the ordered path's execution would have, as one
+             debt: nothing here is visible to another fiber before the
+             reply. *)
+          let debt = { owed = 0 } in
+          owe debt (costs r).Config.exec_base_ns;
           Hashtbl.iter
             (fun oid v ->
               count_access r oid;
-              match v with
-              | None -> ()
-              | Some v -> (
-                  match Versioned_store.klass_of r.r_store oid with
-                  | Versioned_store.Registered -> charge_deser r (Bytes.length v)
-                  | Versioned_store.Local ->
-                      Engine.consume (costs r).Config.read_local_ns))
+              Option.iter
+                (fun v -> owe debt (read_cost r (Versioned_store.klass_of r.r_store oid) v))
+                v)
             snap;
           let lookup oid =
             match Hashtbl.find_opt snap oid with
@@ -1904,12 +1929,16 @@ let try_serve_read r payload =
               ctx_read_opt = lookup;
               ctx_is_local = (fun oid -> is_local r oid);
               ctx_write = (fun _ _ -> raise Fast_miss);
-              ctx_charge = Engine.consume;
+              ctx_charge = owe debt;
             }
           in
-          match r.r_app.App.execute ctx payload with
-          | resp -> Some resp
-          | exception Fast_miss -> None)
+          let resp =
+            match r.r_app.App.execute ctx payload with
+            | resp -> Some resp
+            | exception Fast_miss -> None
+          in
+          pay debt;
+          resp)
 
 let start r =
   if Array.length r.r_peers = 0 then

@@ -100,10 +100,11 @@ let insert_local t oid value ~tmp =
 
 (* {1 Reads} *)
 
-(* The freshest of the admitted versions. *)
-let pick_slot ta tb ~a_ok ~b_ok =
+(* The freshest of the admitted versions; [a_newer] when A's stamp is
+   at least B's. *)
+let pick_slot ~a_newer ~a_ok ~b_ok =
   match (a_ok, b_ok) with
-  | true, true -> if Tstamp.(tb <= ta) then Some `A else Some `B
+  | true, true -> if a_newer then Some `A else Some `B
   | true, false -> Some `A
   | false, true -> Some `B
   | false, false -> None
@@ -124,7 +125,7 @@ let value t e slot =
 let read t oid ok =
   let e = Hashtbl.find t.objects oid in
   let ta = stamp t e `A and tb = stamp t e `B in
-  match pick_slot ta tb ~a_ok:(ok ta) ~b_ok:(ok tb) with
+  match pick_slot ~a_newer:Tstamp.(tb <= ta) ~a_ok:(ok ta) ~b_ok:(ok tb) with
   | Some `A -> Some (value t e `A, ta)
   | Some `B -> Some (value t e `B, tb)
   | None -> None
@@ -132,17 +133,40 @@ let read t oid ok =
 let get t oid = Option.get (read t oid (fun _ -> true))
 
 let pick_version ((va, ta), (vb, tb)) ~bound =
-  match pick_slot ta tb ~a_ok:Tstamp.(ta < bound) ~b_ok:Tstamp.(tb < bound) with
+  match
+    pick_slot ~a_newer:Tstamp.(tb <= ta) ~a_ok:Tstamp.(ta < bound)
+      ~b_ok:Tstamp.(tb < bound)
+  with
   | Some `A -> Some (va, ta)
   | Some `B -> Some (vb, tb)
   | None -> None
 
-let get_before t oid ~bound =
-  match read t oid (fun ts -> Tstamp.(ts < bound)) with
-  | Some _ as r -> r
-  | None ->
-      count_miss t;
-      None
+type lookup = Absent | Too_new | Found of bytes * klass
+
+(* One table lookup, and a registered cell's stamps compared packed,
+   as stored. *)
+let lookup_before t oid ~bound =
+  match Hashtbl.find t.objects oid with
+  | exception Not_found -> Absent
+  | Reg ro -> (
+      let b = Tstamp.to_int bound in
+      let ta = Memory.get_int t.region ~off:(slot_off ro `A)
+      and tb = Memory.get_int t.region ~off:(slot_off ro `B) in
+      match pick_slot ~a_newer:(tb <= ta) ~a_ok:(ta < b) ~b_ok:(tb < b) with
+      | Some slot -> Found (slot_value t ro slot, Registered)
+      | None ->
+          count_miss t;
+          Too_new)
+  | Loc l -> (
+      match
+        pick_slot ~a_newer:Tstamp.(l.b_tmp <= l.a_tmp) ~a_ok:Tstamp.(l.a_tmp < bound)
+          ~b_ok:Tstamp.(l.b_tmp < bound)
+      with
+      | Some `A -> Found (l.a_val, Local)
+      | Some `B -> Found (l.b_val, Local)
+      | None ->
+          count_miss t;
+          Too_new)
 
 (* No miss counted here: the donor snapshot legitimately skips objects
    created beyond its bound. *)

@@ -51,20 +51,29 @@ val get : t -> Oid.t -> bytes * Tstamp.t
 (** Freshest version (the one with the larger timestamp). Raises
     [Not_found] for unknown oids. *)
 
-val get_before : t -> Oid.t -> bound:Tstamp.t -> (bytes * Tstamp.t) option
-(** Freshest version with timestamp strictly smaller than [bound];
-    [None] when both versions are at or past [bound] — the caller is a
-    lagger (Algorithm 2 lines 22-24). [None] results count into the
-    [store.dual_version_miss] metric when one is attached. *)
+type lookup =
+  | Absent  (** no such object *)
+  | Too_new
+      (** both versions are at or past the bound — the caller is a
+          lagger (Algorithm 2 lines 22-24) *)
+  | Found of bytes * klass
+      (** the freshest version with timestamp strictly smaller than
+          the bound, and the object's class *)
+
+val lookup_before : t -> Oid.t -> bound:Tstamp.t -> lookup
+(** The dual-version read of the execution path, with the existence
+    and class checks folded into one table lookup. [Too_new] results
+    count into the [store.dual_version_miss] metric when one is
+    attached. *)
 
 val attach_metrics : t -> Heron_obs.Metrics.t -> unit
-(** Count dual-version read misses (a [None] from {!get_before}) into
-    the registry's [store.dual_version_miss] counter. *)
+(** Count dual-version read misses (a [Too_new] from {!lookup_before})
+    into the registry's [store.dual_version_miss] counter. *)
 
 val get_at_most : t -> Oid.t -> bound:Tstamp.t -> (bytes * Tstamp.t) option
-(** Freshest version with timestamp at most [bound] (inclusive variant
-    of {!get_before}; the state-transfer donor ships versions at or
-    below its snapshot point). *)
+(** Freshest version with timestamp at most [bound], and its stamp
+    (inclusive counterpart of {!lookup_before}; the state-transfer
+    donor ships versions at or below its snapshot point). *)
 
 val set : t -> Oid.t -> bytes -> tmp:Tstamp.t -> unit
 (** Install a new version: overwrite the version whose timestamp equals

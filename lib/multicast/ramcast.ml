@@ -66,6 +66,7 @@ type 'a member = {
   m_early : (int, (int * int) list) Hashtbl.t;  (* uid -> (gid, ts) *)
   m_submits : (int, 'a msg_info) Hashtbl.t;  (* follower stash *)
   m_commits : 'a commit Queue.t;
+  m_commit_of : (int, 'a commit) Hashtbl.t;  (* uid -> its queued commit *)
   m_seen : (int, unit) Hashtbl.t;  (* uids dispatched or delivered here *)
   mutable m_log : 'a delivery array;  (* retained entries, in leader order *)
   mutable m_log_len : int;  (* logical length: compacted + retained *)
@@ -242,6 +243,7 @@ let drain_commits t (m : 'a member) =
     match Queue.peek_opt m.m_commits with
     | Some c when c.cm_acks >= f ->
         ignore (Queue.pop m.m_commits);
+        List.iter (fun e -> Hashtbl.remove m.m_commit_of e.d_uid) c.cm_entries;
         (* Majority replication: decision until the leader's delivery. *)
         List.iter
           (fun e ->
@@ -299,7 +301,9 @@ let replicate t (m : 'a member) entries =
       if fo.m_idx <> m.m_idx then
         post_ctrl t ~src:m.m_node ~dst:fo ~bytes (Log_write { entries }))
     t.groups.(m.m_gid).g_members;
-  Queue.push { cm_entries = entries; cm_acks = 0; cm_decided = now t } m.m_commits;
+  let c = { cm_entries = entries; cm_acks = 0; cm_decided = now t } in
+  List.iter (fun e -> Hashtbl.replace m.m_commit_of e.d_uid c) entries;
+  Queue.push c m.m_commits;
   drain_commits t m
 
 (* Dispatch every pending message that is final and minimal by
@@ -435,11 +439,11 @@ let handle_ctrl t (m : 'a member) ctrl =
       List.iter (fun uid -> Hashtbl.replace m.m_committed uid ()) c_uids;
       drain_follower m
   | Ack { a_uid } ->
-      Queue.iter
-        (fun c ->
-          if List.exists (fun e -> e.d_uid = a_uid) c.cm_entries then
-            c.cm_acks <- c.cm_acks + 1)
-        m.m_commits;
+      (* A uid is decided once, so at most one queued commit holds it;
+         an ack for a commit already delivered finds none. *)
+      Option.iter
+        (fun c -> c.cm_acks <- c.cm_acks + 1)
+        (Hashtbl.find_opt m.m_commit_of a_uid);
       drain_commits t m
 
 (* {1 Leader takeover} *)
@@ -593,6 +597,7 @@ let create ?(config = default_config) ?tracing fab ~size_of ~groups =
         m_early = Hashtbl.create 64;
         m_submits = Hashtbl.create 64;
         m_commits = Queue.create ();
+        m_commit_of = Hashtbl.create 64;
         m_seen = Hashtbl.create 256;
         m_log = [||];
         m_committed = Hashtbl.create 256;
@@ -647,6 +652,7 @@ let restart_member t ~gid ~idx ~deliver =
   Hashtbl.reset m.m_early;
   Hashtbl.reset m.m_submits;
   Queue.clear m.m_commits;
+  Hashtbl.reset m.m_commit_of;
   Hashtbl.reset m.m_seen;
   Hashtbl.reset m.m_committed;
   m.m_log <- [||];

@@ -10,15 +10,19 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let clock_bits = 40
+(* 39 + 23 bits: a packed stamp is a non-negative OCaml int, so packed
+   stamps compare as ints in timestamp order. *)
+let clock_bits = 39
 let uid_bits = 23
 
-let to_int64 t =
+let to_int t =
   if t.clock < 0 || t.clock lsr clock_bits <> 0 then
     invalid_arg "Tstamp.to_int64: clock out of range";
   if t.uid < 0 || t.uid lsr uid_bits <> 0 then
     invalid_arg "Tstamp.to_int64: uid out of range";
-  Int64.of_int ((t.clock lsl uid_bits) lor t.uid)
+  (t.clock lsl uid_bits) lor t.uid
+
+let to_int64 t = Int64.of_int (to_int t)
 
 let of_int64 v =
   let v = Int64.to_int v in

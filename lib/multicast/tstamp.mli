@@ -8,8 +8,10 @@
     dual-versioning relies on (paper Section II-B).
 
     A timestamp packs into a non-negative [int64] whose numeric order
-    equals {!compare} (40-bit clock, 23-bit uid), so it can live in
-    RDMA-registered memory and be read/written atomically. *)
+    equals {!compare} (39-bit clock, 23-bit uid), so it can live in
+    RDMA-registered memory and be read/written atomically. The packed
+    value also fits a non-negative OCaml [int] ({!to_int}), so packed
+    stamps compare as ints without building a [t]. *)
 
 type t = { clock : int; uid : int }
 
@@ -28,8 +30,13 @@ val ( > ) : t -> t -> bool
 val equal : t -> t -> bool
 
 val to_int64 : t -> int64
-(** Raises [Invalid_argument] if the clock exceeds 40 bits or the uid
+(** Raises [Invalid_argument] if the clock exceeds 39 bits or the uid
     exceeds 23 bits. *)
+
+val to_int : t -> int
+(** [Int64.to_int (to_int64 t)], with the same range checks: for any
+    two stamps in range, [compare (to_int a) (to_int b)] equals
+    [compare a b]. *)
 
 val of_int64 : int64 -> t
 

@@ -23,6 +23,10 @@ let get_i64 r ~off =
   check r ~off ~len:8;
   Bytes.get_int64_le r.buf off
 
+let get_int r ~off =
+  check r ~off ~len:8;
+  Int64.to_int (Bytes.get_int64_le r.buf off)
+
 let set_i64 r ~off v =
   check r ~off ~len:8;
   Bytes.set_int64_le r.buf off v

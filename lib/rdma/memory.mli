@@ -27,6 +27,10 @@ val write_bytes : region -> off:int -> bytes -> unit
 (** Copy a payload into the region. *)
 
 val get_i64 : region -> off:int -> int64
+
+val get_int : region -> off:int -> int
+(** [Int64.to_int (get_i64 r ~off)], without boxing the [int64]. *)
+
 val set_i64 : region -> off:int -> int64 -> unit
 
 val addr : node:int -> region -> off:int -> addr

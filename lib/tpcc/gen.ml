@@ -17,13 +17,23 @@ let filler tag len =
   done;
   Buffer.sub b 0 len
 
+(* Every row of a table carries the same filler, so each is built once. *)
+let street_1 = filler "st1" 20
+let street_2 = filler "st2" 20
+let city = filler "city" 20
+let c_data = filler "cdata" 300
+let i_data = filler "idata" 40
+let s_dists = Array.init 10 (fun d -> filler (Printf.sprintf "sd%d" d) 24)
+let s_data = filler "sdata" 40
+let ol_dist_info = filler "ol" 24
+
 let make_warehouse w =
   {
     Schema.w_id = w;
     w_name = Printf.sprintf "wh-%04d" w;
-    w_street_1 = filler "st1" 20;
-    w_street_2 = filler "st2" 20;
-    w_city = filler "city" 20;
+    w_street_1 = street_1;
+    w_street_2 = street_2;
+    w_city = city;
     w_state = "CH";
     w_zip = "123456789";
     w_tax = 1000 + (w mod 10) * 25;
@@ -35,9 +45,9 @@ let make_district ~w ~d ~next_o_id =
     Schema.d_id = d;
     d_w_id = w;
     d_name = Printf.sprintf "d-%02d-%04d" d w;
-    d_street_1 = filler "st1" 20;
-    d_street_2 = filler "st2" 20;
-    d_city = filler "city" 20;
+    d_street_1 = street_1;
+    d_street_2 = street_2;
+    d_city = city;
     d_state = "CH";
     d_zip = "987654321";
     d_tax = 800 + (d * 15);
@@ -54,9 +64,9 @@ let make_customer ~w ~d ~c ~last_order =
     c_first = Printf.sprintf "first-%05d" c;
     c_middle = "OE";
     c_last = Printf.sprintf "LAST%06d" (c mod 1000);
-    c_street_1 = filler "st1" 20;
-    c_street_2 = filler "st2" 20;
-    c_city = filler "city" 20;
+    c_street_1 = street_1;
+    c_street_2 = street_2;
+    c_city = city;
     c_state = "CH";
     c_zip = "135792468";
     c_phone = "0041123456789012";
@@ -68,7 +78,7 @@ let make_customer ~w ~d ~c ~last_order =
     c_ytd_payment = 1_000;
     c_payment_cnt = 1;
     c_delivery_cnt = 0;
-    c_data = filler "cdata" 300;
+    c_data;
     c_last_order = last_order;
   }
 
@@ -78,7 +88,7 @@ let make_item i =
     i_im_id = (i * 13 mod 10_000) + 1;
     i_name = Printf.sprintf "item-%06d" i;
     i_price = 100 + (i * 37 mod 9_900);
-    i_data = filler "idata" 40;
+    i_data;
   }
 
 let make_stock ~w ~i =
@@ -86,11 +96,11 @@ let make_stock ~w ~i =
     Schema.s_i_id = i;
     s_w_id = w;
     s_quantity = 50 + (i mod 50);
-    s_dists = Array.init 10 (fun d -> filler (Printf.sprintf "sd%d" d) 24);
+    s_dists;
     s_ytd = 0;
     s_order_cnt = 0;
     s_remote_cnt = 0;
-    s_data = filler "sdata" 40;
+    s_data;
   }
 
 let spec ~key ~placement ~klass ~cap ~init =
@@ -187,7 +197,7 @@ let catalog ~scale ~seed =
                       ol_delivery_d = Some 0;
                       ol_quantity = rand_range rng 1 10;
                       ol_amount = rand_range rng 100 9_999;
-                      ol_dist_info = filler "ol" 24;
+                      ol_dist_info;
                     }))
         done
       done

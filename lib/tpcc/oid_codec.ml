@@ -31,14 +31,23 @@ let encode = function
   | Item i -> pack ~tag:8 ~w:0 ~d:0 ~a:i ~b:0
   | Stock (w, i) -> pack ~tag:9 ~w ~d:0 ~a:i ~b:0
 
+(* The bit layout read back: [tag] and [warehouse] run on every object
+   access, so they read their bits in place instead of building a
+   [key]. *)
+let tag oid =
+  match Oid.to_int oid lsr 58 with
+  | tag when tag >= 1 && tag <= 9 -> tag
+  | _ -> invalid_arg "Oid_codec.decode: bad tag"
+
+let warehouse oid = (Oid.to_int oid lsr 46) land 0xfff
+
 let decode oid =
   let v = Oid.to_int oid in
   let b = v land 0xff in
   let a = (v lsr 8) land ((1 lsl 30) - 1) in
   let d = (v lsr 38) land 0xff in
-  let w = (v lsr 46) land 0xfff in
-  let tag = v lsr 58 in
-  match tag with
+  let w = warehouse oid in
+  match tag oid with
   | 1 -> Warehouse w
   | 2 -> District (w, d)
   | 3 -> Customer (w, d, a)
@@ -47,24 +56,10 @@ let decode oid =
   | 6 -> New_order (w, d, a)
   | 7 -> Order_line (w, d, a, b)
   | 8 -> Item a
-  | 9 -> Stock (w, a)
-  | _ -> invalid_arg "Oid_codec.decode: bad tag"
+  | _ -> Stock (w, a)
 
 let home_warehouse oid =
-  match decode oid with
-  | Warehouse _ | Item _ -> None
-  | District (w, _)
-  | Customer (w, _, _)
-  | History (w, _, _)
-  | Order (w, _, _)
-  | New_order (w, _, _)
-  | Order_line (w, _, _, _)
-  | Stock (w, _) ->
-      Some w
+  match tag oid with 1 | 8 -> None | _ -> Some (warehouse oid)
 
 let is_registered oid =
-  match decode oid with
-  | Stock _ | Customer _ -> true
-  | Warehouse _ | District _ | History _ | Order _ | New_order _ | Order_line _
-  | Item _ ->
-      false
+  match tag oid with 3 | 9 -> true | _ -> false

@@ -373,6 +373,48 @@ let decode_stock raw =
   expect_end r;
   { s_i_id; s_w_id; s_quantity; s_dists; s_ytd; s_order_cnt; s_remote_cnt; s_data }
 
+(* {1 Field readers and patches on encoded rows}
+
+   Offsets follow the encoders above: a reader decodes one field where
+   its decoder would find it, skipping any length-prefixed string in
+   front of it. *)
+
+let i32_at raw off = Int32.to_int (Bytes.get_int32_le raw off)
+let i64_at raw off = Int64.to_int (Bytes.get_int64_le raw off)
+
+(* The offset just past [n] strings stored from [off] on. *)
+let rec skip_strings raw off n =
+  if n = 0 then off else skip_strings raw (off + 2 + Bytes.get_uint16_le raw off) (n - 1)
+
+(* Stock: s_i_id and s_w_id (i32 each), s_quantity (i32) at 8, the
+   district-info count (u8) at 12, the district infos from 13, then
+   s_ytd (i64), s_order_cnt and s_remote_cnt (i32 each). *)
+let stock_quantity raw = i32_at raw 8
+
+let stock_dist_info raw ~d =
+  let off = skip_strings raw 13 ((d - 1) mod Bytes.get_uint8 raw 12) in
+  Bytes.sub_string raw (off + 2) (Bytes.get_uint16_le raw off)
+
+let patch_stock raw ~quantity ~ytd_add ~order_cnt_add ~remote_cnt_add =
+  let ytd = skip_strings raw 13 (Bytes.get_uint8 raw 12) in
+  let out = Bytes.copy raw in
+  Bytes.set_int32_le out 8 (Int32.of_int quantity);
+  Bytes.set_int64_le out ytd (Int64.of_int (i64_at raw ytd + ytd_add));
+  Bytes.set_int32_le out (ytd + 8) (Int32.of_int (i32_at raw (ytd + 8) + order_cnt_add));
+  Bytes.set_int32_le out (ytd + 12)
+    (Int32.of_int (i32_at raw (ytd + 12) + remote_cnt_add));
+  out
+
+(* Order line: three i32 ids and ol_number (u8) come before ol_i_id. *)
+let order_line_item raw = i32_at raw 13
+
+(* Order: four i32 ids and o_entry_d (i64), then o_carrier_id as a
+   flag byte plus an i32 when set, then o_ol_cnt (u8). *)
+let order_ol_cnt raw = Bytes.get_uint8 raw (if Bytes.get_uint8 raw 24 = 1 then 29 else 25)
+
+(* Item: i_id and i_im_id (i32 each), i_name, then i_price (i64). *)
+let item_price raw = i64_at raw (skip_strings raw 8 1)
+
 (* Capacities sized to the encoders above with worst-case string
    lengths used by the generator. *)
 let stock_cap = 400

@@ -138,6 +138,40 @@ val decode_item : bytes -> item
 val encode_stock : stock -> bytes
 val decode_stock : bytes -> stock
 
+(** {1 Field readers and patches}
+
+    Each reads or rewrites the fields the transactions use directly in
+    an encoded row, without decoding the rest of it; on a row produced
+    by the matching encoder each agrees with the decoder. *)
+
+val stock_quantity : bytes -> int
+(** [(decode_stock raw).s_quantity]. *)
+
+val stock_dist_info : bytes -> d:int -> string
+(** The district info for district [d]:
+    [s.s_dists.((d - 1) mod Array.length s.s_dists)] where
+    [s = decode_stock raw]. *)
+
+val patch_stock :
+  bytes ->
+  quantity:int ->
+  ytd_add:int ->
+  order_cnt_add:int ->
+  remote_cnt_add:int ->
+  bytes
+(** A fresh row byte-identical to [encode_stock] of [decode_stock raw]
+    with [s_quantity] set to [quantity] and the three deltas added to
+    [s_ytd], [s_order_cnt] and [s_remote_cnt]. [raw] is not modified. *)
+
+val order_line_item : bytes -> int
+(** [(decode_order_line raw).ol_i_id]. *)
+
+val order_ol_cnt : bytes -> int
+(** [(decode_order raw).o_ol_cnt]. *)
+
+val item_price : bytes -> int
+(** [(decode_item raw).i_price]. *)
+
 val stock_cap : int
 (** Registered-cell capacity for a stock row. *)
 

@@ -136,21 +136,14 @@ let exec_new_order (ctx : App.ctx) ~w ~d ~c ~lines ~entry_d =
     (fun li ->
       let soid = stock_oid li.li_supply_w li.li_i in
       if ctx.App.ctx_is_local soid then begin
-        let s = Schema.decode_stock (read soid) in
+        let raw = read soid in
+        let q = Schema.stock_quantity raw in
         let quantity =
-          if s.Schema.s_quantity >= li.li_qty + 10 then s.Schema.s_quantity - li.li_qty
-          else s.Schema.s_quantity - li.li_qty + 91
+          if q >= li.li_qty + 10 then q - li.li_qty else q - li.li_qty + 91
         in
         write soid
-          (Schema.encode_stock
-             {
-               s with
-               Schema.s_quantity = quantity;
-               s_ytd = s.Schema.s_ytd + li.li_qty;
-               s_order_cnt = s.Schema.s_order_cnt + 1;
-               s_remote_cnt =
-                 (s.Schema.s_remote_cnt + if li.li_supply_w <> w then 1 else 0);
-             });
+          (Schema.patch_stock raw ~quantity ~ytd_add:li.li_qty ~order_cnt_add:1
+             ~remote_cnt_add:(if li.li_supply_w <> w then 1 else 0));
         charge cost_row_op
       end)
     lines;
@@ -181,9 +174,7 @@ let exec_new_order (ctx : App.ctx) ~w ~d ~c ~lines ~entry_d =
     let total = ref 0 in
     List.iteri
       (fun idx li ->
-        let item = Schema.decode_item (read (item_oid li.li_i)) in
-        let stock = Schema.decode_stock (read (stock_oid li.li_supply_w li.li_i)) in
-        let amount = item.Schema.i_price * li.li_qty in
+        let amount = Schema.item_price (read (item_oid li.li_i)) * li.li_qty in
         total := !total + amount;
         write
           (order_line_oid w d o_id (idx + 1))
@@ -198,7 +189,8 @@ let exec_new_order (ctx : App.ctx) ~w ~d ~c ~lines ~entry_d =
                ol_delivery_d = None;
                ol_quantity = li.li_qty;
                ol_amount = amount;
-               ol_dist_info = stock.Schema.s_dists.((d - 1) mod Array.length stock.Schema.s_dists);
+               ol_dist_info =
+                 Schema.stock_dist_info (read (stock_oid li.li_supply_w li.li_i)) ~d;
              });
         charge cost_line)
       lines;
@@ -265,13 +257,12 @@ let exec_order_status (ctx : App.ctx) ~w ~d ~c =
   if o_id = 0 then
     R_order_status { o_id = 0; ol_cnt = 0; balance = cust.Schema.c_balance }
   else begin
-    let order = Schema.decode_order (read (order_oid w d o_id)) in
-    for n = 1 to order.Schema.o_ol_cnt do
-      ignore (Schema.decode_order_line (read (order_line_oid w d o_id n)));
+    let ol_cnt = Schema.order_ol_cnt (read (order_oid w d o_id)) in
+    for n = 1 to ol_cnt do
+      ignore (read (order_line_oid w d o_id n));
       ctx.App.ctx_charge cost_row_op
     done;
-    R_order_status
-      { o_id; ol_cnt = order.Schema.o_ol_cnt; balance = cust.Schema.c_balance }
+    R_order_status { o_id; ol_cnt; balance = cust.Schema.c_balance }
   end
 
 let exec_delivery (ctx : App.ctx) ~scale ~w ~carrier ~date =
@@ -318,18 +309,14 @@ let exec_stock_level (ctx : App.ctx) ~w ~d ~threshold =
   let first = max 1 (next - 20) in
   let items = Hashtbl.create 64 in
   for o = first to next - 1 do
-    let order = Schema.decode_order (read (order_oid w d o)) in
-    for n = 1 to order.Schema.o_ol_cnt do
-      let ol = Schema.decode_order_line (read (order_line_oid w d o n)) in
-      Hashtbl.replace items ol.Schema.ol_i_id ();
+    for n = 1 to Schema.order_ol_cnt (read (order_oid w d o)) do
+      Hashtbl.replace items (Schema.order_line_item (read (order_line_oid w d o n))) ();
       ctx.App.ctx_charge cost_row_op
     done
   done;
   let low = ref 0 in
   Hashtbl.iter
-    (fun i () ->
-      let s = Schema.decode_stock (read (stock_oid w i)) in
-      if s.Schema.s_quantity < threshold then incr low)
+    (fun i () -> if Schema.stock_quantity (read (stock_oid w i)) < threshold then incr low)
     items;
   R_stock_level { low_stock = !low }
 

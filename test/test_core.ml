@@ -13,6 +13,7 @@ open Heron_kv
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_i64 = Alcotest.(check int64)
+let check_str = Alcotest.(check string)
 let tmp c = Tstamp.make ~clock:c ~uid:c
 
 (* {1 Versioned_store} *)
@@ -25,6 +26,14 @@ let make_store () =
 
 let b s = Bytes.of_string s
 let bs by = Bytes.to_string by
+
+(* The value an execution read at [bound] sees; [None] on a lagger
+   miss. *)
+let before st oid ~bound =
+  match Versioned_store.lookup_before st oid ~bound with
+  | Versioned_store.Found (v, _) -> Some (bs v)
+  | Versioned_store.Too_new -> None
+  | Versioned_store.Absent -> Alcotest.fail "object absent"
 
 let test_store_register_get () =
   let _, st = make_store () in
@@ -42,18 +51,14 @@ let test_store_dual_versioning () =
   Versioned_store.set st 1 (b "v2") ~tmp:(tmp 2);
   (* Newest wins for get; both recent versions remain readable. *)
   Alcotest.(check string) "newest" "v2" (bs (fst (Versioned_store.get st 1)));
-  (match Versioned_store.get_before st 1 ~bound:(tmp 2) with
-  | Some (v, t) ->
-      Alcotest.(check string) "older version survives" "v1" (bs v);
-      check_bool "its tag" true (Tstamp.equal t (tmp 1))
-  | None -> Alcotest.fail "expected version before tmp 2");
-  (* v0 was overwritten (it was the older version). *)
-  (match Versioned_store.get_before st 1 ~bound:(tmp 1) with
-  | None -> ()
-  | Some (v, _) -> Alcotest.failf "v0 should be gone, got %s" (bs v));
-  (* A reader bounded below both versions sees the lagger condition. *)
-  check_bool "lagger condition" true
-    (Versioned_store.get_before st 1 ~bound:(tmp 1) = None)
+  Alcotest.(check (option string)) "older version survives" (Some "v1")
+    (before st 1 ~bound:(tmp 2));
+  (match Versioned_store.get_at_most st 1 ~bound:(tmp 1) with
+  | Some (_, t) -> check_bool "its tag" true (Tstamp.equal t (tmp 1))
+  | None -> Alcotest.fail "expected version at tmp 1");
+  (* v0 was overwritten (it was the older version), so a reader bounded
+     below both versions sees the lagger condition. *)
+  Alcotest.(check (option string)) "lagger condition" None (before st 1 ~bound:(tmp 1))
 
 let test_store_set_same_tmp_idempotent () =
   let _, st = make_store () in
@@ -63,8 +68,10 @@ let test_store_set_same_tmp_idempotent () =
   Alcotest.(check string) "overwrote same version" "b"
     (bs (fst (Versioned_store.get st 1)));
   (* The other slot still holds the initial version. *)
-  match Versioned_store.get_before st 1 ~bound:(tmp 5) with
-  | Some (_, t) -> check_bool "v0 intact" true (Tstamp.equal t Tstamp.zero)
+  match Versioned_store.get_at_most st 1 ~bound:(tmp 4) with
+  | Some (v, t) ->
+      Alcotest.(check string) "v0 value" "v0" (bs v);
+      check_bool "v0 intact" true (Tstamp.equal t Tstamp.zero)
   | None -> Alcotest.fail "initial version lost"
 
 let test_store_local_class () =
@@ -141,7 +148,7 @@ let test_store_get_at_most () =
 
 let store_version_prop =
   (* After any sequence of sets at increasing timestamps, get returns
-     the last set, and get_before any bound returns the newest version
+     the last set, and lookup_before any bound returns the newest version
      strictly below it among the last two sets. *)
   QCheck.Test.make ~name:"store holds the two newest versions" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 20) (int_bound 50))
@@ -159,9 +166,7 @@ let store_version_prop =
       let ok_prev =
         if n < 2 then true
         else
-          match Versioned_store.get_before st 1 ~bound:(tmp n) with
-          | Some (v, _) -> bs v = string_of_int (List.nth values (n - 2))
-          | None -> false
+          before st 1 ~bound:(tmp n) = Some (string_of_int (List.nth values (n - 2)))
       in
       ok_newest && ok_prev)
 
@@ -207,14 +212,12 @@ let test_store_out_of_order_writes () =
   Versioned_store.set st 1 (b "v4") ~tmp:(tmp 4);
   Alcotest.(check string) "newest unaffected by late write" "v6"
     (bs (fst (Versioned_store.get st 1)));
-  (match Versioned_store.get_before st 1 ~bound:(tmp 6) with
-  | Some (v, _) -> Alcotest.(check string) "late version readable" "v4" (bs v)
-  | None -> Alcotest.fail "late version lost");
+  Alcotest.(check (option string)) "late version readable" (Some "v4")
+    (before st 1 ~bound:(tmp 6));
   (* A third out-of-order write lands on the older slot (v4), not v6. *)
   Versioned_store.set st 1 (b "v5") ~tmp:(tmp 5);
-  (match Versioned_store.get_before st 1 ~bound:(tmp 6) with
-  | Some (v, _) -> Alcotest.(check string) "newer of the two survivors" "v5" (bs v)
-  | None -> Alcotest.fail "version lost");
+  Alcotest.(check (option string)) "newer of the two survivors" (Some "v5")
+    (before st 1 ~bound:(tmp 6));
   Alcotest.(check string) "newest still v6" "v6" (bs (fst (Versioned_store.get st 1)))
 
 (* Any interleaving of writes — out-of-order timestamps, duplicate
@@ -263,23 +266,24 @@ let store_interleaving_prop =
         | None, None -> true
         | _ -> false
       in
+      (* Each write's value carries its index, so a value read back
+         names the write, and with it the stamp. *)
       List.for_all
-        (fun (c, v) ->
-          let v = string_of_int v in
+        (fun (i, (c, v)) ->
+          let v = Printf.sprintf "%d:%d" i v in
           Versioned_store.set st 1 (Bytes.of_string v) ~tmp:(tmp c);
           model_set (tmp c) v;
           same (model_read (fun _ -> true)) (Some (Versioned_store.get st 1))
           && List.for_all
                (fun bc ->
                  let bound = tmp bc in
-                 same
-                   (model_read (fun t -> Tstamp.(t < bound)))
-                   (Versioned_store.get_before st 1 ~bound)
+                 Option.map snd (model_read (fun t -> Tstamp.(t < bound)))
+                 = before st 1 ~bound
                  && same
                       (model_read (fun t -> Tstamp.(t <= bound)))
                       (Versioned_store.get_at_most st 1 ~bound))
                [ 0; 1; 3; 6; 9; 12; 13 ])
-        writes)
+        (List.mapi (fun i w -> (i, w)) writes))
 
 let test_store_initial_value_copied_once () =
   (* A local object's two versions start from one copy of the initial
@@ -1157,6 +1161,146 @@ let test_kv_read_outside_read_set_rejected () =
        Engine.run_until eng (Time_ns.ms 10);
        false
      with Invalid_argument _ -> true)
+
+(* {2 Execution charges}
+
+   Reads, writes and application charges accrue as a debt that one
+   consume pays before the next step another fiber can observe. A
+   one-replica partition, without hiccups, runs two requests of an app
+   whose reads are all on demand: [`Write] charges 300 + 500 ns, reads
+   a registered 8-byte cell, charges 200 ns and rewrites the cell;
+   [`Lag] charges 400 + 600 ns and then reads a local object whose two
+   versions are both newer than any request, so the replica lags. *)
+let debt_reg = Oid.of_int 0
+let debt_poisoned = Oid.of_int 1
+
+let debt_app ~on_start =
+  {
+    App.app_name = "debt";
+    placement_of = (fun _ -> App.Partition 0);
+    klass_of =
+      (fun oid ->
+        if oid = debt_reg then Versioned_store.Registered else Versioned_store.Local);
+    read_set = (fun _ -> []);
+    read_plan = (fun ~part:_ _ -> []);
+    write_sketch = (fun _ -> [ debt_reg ]);
+    req_size = (fun _ -> 16);
+    resp_size = (fun () -> 8);
+    execute =
+      (fun ctx req ->
+        on_start (Engine.self_now ());
+        match req with
+        | `Write ->
+            ctx.App.ctx_charge 300;
+            ctx.App.ctx_charge 500;
+            let v = ctx.App.ctx_read debt_reg in
+            ctx.App.ctx_charge 200;
+            ctx.App.ctx_write debt_reg (Bytes.map Char.uppercase_ascii v)
+        | `Lag ->
+            ctx.App.ctx_charge 400;
+            ctx.App.ctx_charge 600;
+            ignore (ctx.App.ctx_read debt_poisoned));
+    serial_hint = (fun _ -> false);
+    read_only = (fun _ -> false);
+    catalog =
+      (fun () ->
+        [
+          {
+            App.spec_oid = debt_reg;
+            spec_placement = App.Partition 0;
+            spec_klass = Versioned_store.Registered;
+            spec_cap = 16;
+            spec_init = b "oldvalue";
+          };
+          {
+            App.spec_oid = debt_poisoned;
+            spec_placement = App.Partition 0;
+            spec_klass = Versioned_store.Local;
+            spec_cap = 0;
+            spec_init = b "poisoned";
+          };
+        ]);
+  }
+
+let debt_cfg =
+  let cfg = Config.default ~partitions:1 ~replicas:1 in
+  { cfg with Config.costs = { cfg.Config.costs with Config.hiccup_pct = 0 } }
+
+(* Run [req] once; return the replica, the instant the app callback
+   started and the replica's trace. [probes] are [(delay from the
+   callback's start, check)] pairs, run as events at those instants. *)
+let run_debt_app req ~probes =
+  let eng = Engine.create () in
+  let cfg = debt_cfg in
+  let started = ref None in
+  let sys = ref None in
+  let on_start at =
+    started := Some at;
+    let r = System.replica (Option.get !sys) ~part:0 ~idx:0 in
+    List.iter (fun (d, check) -> Engine.schedule ~delay:d eng (fun () -> check r)) probes
+  in
+  let s = System.create eng ~cfg ~app:(debt_app ~on_start) in
+  sys := Some s;
+  let r = System.replica s ~part:0 ~idx:0 in
+  let st = Replica.store r in
+  Versioned_store.set st debt_poisoned (b "future-a") ~tmp:(Tstamp.make ~clock:1_000_000 ~uid:1);
+  Versioned_store.set st debt_poisoned (b "future-b") ~tmp:(Tstamp.make ~clock:1_000_000 ~uid:2);
+  let tr = Trace.create () in
+  Replica.set_tracer r tr;
+  System.start s;
+  let node = System.new_client_node s ~name:"c" in
+  Fabric.spawn_on node (fun () -> ignore (System.submit s ~from:node req));
+  Engine.run_until eng (Time_ns.ms 2);
+  (r, Option.get !started, tr)
+
+let test_execution_debt () =
+  (* The cell as a one-sided read completing now returns it. *)
+  let newest r =
+    let st = Replica.store r in
+    let raw =
+      Fabric.local_read (Replica.node r)
+        (Versioned_store.cell_addr st debt_reg)
+        ~len:(Versioned_store.cell_len st debt_reg)
+    in
+    let (va, ta), (vb, tb) = Versioned_store.decode_cell raw in
+    bs (if Tstamp.(tb <= ta) then va else vb)
+  in
+  let seen = ref [] in
+  let probe name r = seen := (name, newest r) :: !seen in
+  (* The write lands once every charge before it is paid, as if each had
+     been consumed on its own: 300 + 500 + 200 ns of compute plus the
+     cell's deserialization and serialization. *)
+  let costs = debt_cfg.Config.costs in
+  let due =
+    1_000 + (8 * costs.Config.deser_per_byte_x100 / 100)
+    + (8 * costs.Config.ser_per_byte_x100 / 100)
+  in
+  let r, started, tr =
+    run_debt_app `Write
+      ~probes:[ (due - 1, probe "before"); (due + 1, probe "after") ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "peer reads around the write" [ ("before", "oldvalue"); ("after", "OLDVALUE") ]
+    (List.rev !seen);
+  check_str "store holds the write" "OLDVALUE" (newest r);
+  (match List.filter (fun s -> s.Trace.sp_name = "execute") (Trace.spans tr) with
+  | [ s ] ->
+      check_int "execution ends at the write" (started + due) s.Trace.sp_end;
+      check_int "execution lasts base cost plus every charge"
+        (costs.Config.exec_base_ns + due)
+        (s.Trace.sp_end - s.Trace.sp_start)
+  | spans -> Alcotest.failf "expected one execute span, got %d" (List.length spans));
+  (* [`Lag] raises Lagging after 400 + 600 ns of charges: the replica
+     enters recovery only once they are paid. *)
+  let recovering = ref [] in
+  let probe name r = recovering := (name, Replica.in_recovery r) :: !recovering in
+  let _ =
+    run_debt_app `Lag ~probes:[ (999, probe "before"); (1_001, probe "after") ]
+  in
+  Alcotest.(check (list (pair string bool)))
+    "lagging pays its charges first"
+    [ ("before", false); ("after", true) ]
+    (List.rev !recovering)
 
 let test_kv_trace_spans () =
   let w = make_kv ~partitions:2 () in
@@ -2126,6 +2270,8 @@ let suite =
         tc "read outside read set rejected" test_kv_read_outside_read_set_rejected;
         Qc.test fig3_invariant_prop;
       ] );
+    ( "core.execution",
+      [ tc "charges paid once per observable step" test_execution_debt ] );
     ( "core.failures",
       [
         tc "lagger recovers via state transfer" test_kv_lagger_state_transfer;

@@ -30,18 +30,22 @@ let test_tstamp_int64_roundtrip () =
 
 let tstamp_pack_order_prop =
   QCheck.Test.make ~name:"tstamp int64 order matches compare" ~count:500
-    QCheck.(quad (int_bound 1_000_000) (int_bound 8_000_000) (int_bound 1_000_000)
-              (int_bound 8_000_000))
+    QCheck.(
+      let clock = oneof [ int_bound 1_000_000; int_bound ((1 lsl 39) - 1) ] in
+      quad clock (int_bound 8_000_000) clock (int_bound 8_000_000))
     (fun (c1, u1, c2, u2) ->
       let a = Tstamp.make ~clock:c1 ~uid:u1 in
       let b = Tstamp.make ~clock:c2 ~uid:u2 in
-      Stdlib.compare (Tstamp.to_int64 a) (Tstamp.to_int64 b)
-      = Tstamp.compare a b)
+      Stdlib.compare (Tstamp.to_int64 a) (Tstamp.to_int64 b) = Tstamp.compare a b
+      && Int.compare (Tstamp.to_int a) (Tstamp.to_int b) = Tstamp.compare a b)
 
 let test_tstamp_out_of_range () =
   Alcotest.check_raises "uid too large"
     (Invalid_argument "Tstamp.to_int64: uid out of range") (fun () ->
-      ignore (Tstamp.to_int64 (Tstamp.make ~clock:0 ~uid:(1 lsl 23))))
+      ignore (Tstamp.to_int64 (Tstamp.make ~clock:0 ~uid:(1 lsl 23))));
+  Alcotest.check_raises "clock too large"
+    (Invalid_argument "Tstamp.to_int64: clock out of range") (fun () ->
+      ignore (Tstamp.to_int64 (Tstamp.make ~clock:(1 lsl 39) ~uid:0)))
 
 (* {1 Multicast harness}
 

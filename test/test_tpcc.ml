@@ -102,6 +102,83 @@ let test_schema_sizes_fit_caps () =
   check_bool "stock is a few hundred bytes" true
     (Bytes.length (Schema.encode_stock s) > 250)
 
+(* {1 Field readers and patches}
+
+   Transactions read single fields out of encoded rows and patch stock
+   rows in place. The differential tests cannot catch a wrong offset,
+   because the reference executor runs the same transaction code, so
+   each reader is held to its decoder and the patch to decode, update,
+   encode, on random rows. *)
+
+let field_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:printable (int_range 0 40) in
+  let i32 = int_range (-(1 lsl 31)) ((1 lsl 31) - 1) in
+  let u8 = int_range 0 255 in
+  let stock =
+    let* s_i_id = i32 and* s_w_id = i32 and* s_quantity = i32 in
+    let* s_dists = array_size (int_range 1 12) str in
+    let* s_ytd = int and* s_order_cnt = i32 and* s_remote_cnt = i32 and* s_data = str in
+    return
+      { Schema.s_i_id; s_w_id; s_quantity; s_dists; s_ytd; s_order_cnt; s_remote_cnt; s_data }
+  in
+  let order =
+    let* o_id = i32 and* o_d_id = i32 and* o_w_id = i32 and* o_c_id = i32 in
+    let* o_entry_d = int and* o_carrier_id = opt i32 and* o_ol_cnt = u8 in
+    let* o_all_local = bool in
+    return
+      { Schema.o_id; o_d_id; o_w_id; o_c_id; o_entry_d; o_carrier_id; o_ol_cnt; o_all_local }
+  in
+  let order_line =
+    let* ol_o_id = i32 and* ol_d_id = i32 and* ol_w_id = i32 and* ol_number = u8 in
+    let* ol_i_id = i32 and* ol_supply_w_id = i32 and* ol_delivery_d = opt i32 in
+    let* ol_quantity = u8 and* ol_amount = int and* ol_dist_info = str in
+    return
+      {
+        Schema.ol_o_id; ol_d_id; ol_w_id; ol_number; ol_i_id; ol_supply_w_id;
+        ol_delivery_d; ol_quantity; ol_amount; ol_dist_info;
+      }
+  in
+  let item =
+    let* i_id = i32 and* i_im_id = i32 and* i_name = str and* i_price = int in
+    let* i_data = str in
+    return { Schema.i_id; i_im_id; i_name; i_price; i_data }
+  in
+  let* s = stock and* o = order and* ol = order_line and* i = item in
+  let* d = int_range 1 40 and* quantity = i32 in
+  let* deltas = triple int i32 i32 in
+  return (s, o, ol, i, d, quantity, deltas)
+
+let field_readers_prop =
+  QCheck.Test.make ~name:"field readers and stock patch agree with the codecs" ~count:500
+    (QCheck.make field_gen)
+    (fun (s, o, ol, i, d, quantity, (ytd_add, order_cnt_add, remote_cnt_add)) ->
+      let raw = Schema.encode_stock s in
+      let copy = Bytes.copy raw in
+      let s' = Schema.decode_stock raw in
+      let patched = Schema.patch_stock raw ~quantity ~ytd_add ~order_cnt_add ~remote_cnt_add in
+      let expected =
+        Schema.encode_stock
+          {
+            s' with
+            Schema.s_quantity = quantity;
+            s_ytd = s'.Schema.s_ytd + ytd_add;
+            s_order_cnt = s'.Schema.s_order_cnt + order_cnt_add;
+            s_remote_cnt = s'.Schema.s_remote_cnt + remote_cnt_add;
+          }
+      in
+      Schema.stock_quantity raw = s'.Schema.s_quantity
+      && Schema.stock_dist_info raw ~d
+         = s'.Schema.s_dists.((d - 1) mod Array.length s'.Schema.s_dists)
+      && Bytes.equal patched expected
+      && Bytes.equal raw copy
+      && Schema.order_ol_cnt (Schema.encode_order o)
+         = (Schema.decode_order (Schema.encode_order o)).Schema.o_ol_cnt
+      && Schema.order_line_item (Schema.encode_order_line ol)
+         = (Schema.decode_order_line (Schema.encode_order_line ol)).Schema.ol_i_id
+      && Schema.item_price (Schema.encode_item i)
+         = (Schema.decode_item (Schema.encode_item i)).Schema.i_price)
+
 (* {1 Oid_codec} *)
 
 let oid_key_gen =
@@ -445,7 +522,11 @@ let suite =
     ( "tpcc.codec",
       [ tc "roundtrip" test_codec_roundtrip; tc "trailing bytes" test_codec_trailing_bytes ] );
     ( "tpcc.schema",
-      [ tc "row roundtrips" test_schema_roundtrips; tc "sizes fit caps" test_schema_sizes_fit_caps ] );
+      [
+        tc "row roundtrips" test_schema_roundtrips;
+        tc "sizes fit caps" test_schema_sizes_fit_caps;
+        Qc.test field_readers_prop;
+      ] );
     ( "tpcc.oid",
       [
         Qc.test oid_roundtrip_prop;

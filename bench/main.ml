@@ -175,7 +175,7 @@ let run_elastic ~quick =
           float_of_int (Sample_set.percentile phases.(1) 50.) /. 1e3,
           c "topology.splits",
           g "topology.shards",
-          Placement.epoch (System.directory sys) )
+          Placement.epoch (Placement.view (System.directory sys)) )
       in
       let s_pre, s_post, s_p50, _, _, _ =
         run ~partitions:provisioned ~elastic:false

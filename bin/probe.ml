@@ -419,7 +419,7 @@ let run_reconfig () =
       with
       | Ok () ->
           pr "manual migration: key 2 -> partition 1 ok, epoch now %d\n"
-            (Placement.epoch (System.directory sys))
+            (Placement.epoch (Placement.view (System.directory sys)))
       | Error e -> pr "manual migration failed: %s\n" e);
   Engine.run_until eng (Time_ns.ms 4);
   let rb =
@@ -437,11 +437,14 @@ let run_reconfig () =
   pr "rebalancer: %d load checks, %d objects moved\n"
     (Heron_reconfig.Rebalancer.rounds rb)
     (Heron_reconfig.Rebalancer.moves rb);
-  pr "directory epoch %d; placement now:" (Placement.epoch (System.directory sys));
+  let dir = Placement.view (System.directory sys) in
+  pr "directory epoch %d; placement now:" (Placement.epoch dir);
   for k = 0 to keys - 1 do
-    match Heron_reconfig.Migration.current_partition sys (Heron_kv.Kv_app.oid_of_key k) with
-    | Some p -> pr " k%d->p%d" k p
-    | None -> ()
+    match
+      Placement.placement_under dir app.App.placement_of (Heron_kv.Kv_app.oid_of_key k)
+    with
+    | App.Partition p -> pr " k%d->p%d" k p
+    | App.Replicated -> ()
   done;
   pr "\nmigrations=%d objects_moved=%d wrong_epoch_retries=%d\n"
     (c "reconfig.migrations") (c "reconfig.objects_moved")

@@ -120,21 +120,21 @@ let inject sys ~skipped ev =
              like any other no-op injection. *)
           let node = System.new_client_node sys ~name:"chaos-split" in
           Fabric.spawn_on node (fun () ->
-              match Placement.shards (System.directory sys) with
+              match Placement.shards (Placement.view (System.directory sys)) with
               | None -> Metrics.incr skipped
               | Some sm -> (
                   let shard = shard mod Heron_topology.Shard_map.count sm in
-                  match Heron_reconfig.Elastic.split sys ~from:node ~shard with
+                  match Heron_reconfig.Migration.split sys ~from:node ~shard with
                   | Ok _ -> ()
                   | Error _ -> Metrics.incr skipped)))
   | S.Merge { left; at = t } ->
       at t (fun () ->
           let node = System.new_client_node sys ~name:"chaos-merge" in
           Fabric.spawn_on node (fun () ->
-              match Placement.shards (System.directory sys) with
+              match Placement.shards (Placement.view (System.directory sys)) with
               | Some sm when Heron_topology.Shard_map.count sm >= 2 -> (
                   let left = left mod (Heron_topology.Shard_map.count sm - 1) in
-                  match Heron_reconfig.Elastic.merge sys ~from:node ~left with
+                  match Heron_reconfig.Migration.merge sys ~from:node ~left with
                   | Ok _ -> ()
                   | Error _ -> Metrics.incr skipped)
               | _ -> Metrics.incr skipped))

@@ -1,40 +1,6 @@
 open Heron_obs
 module Shard_map = Heron_topology.Shard_map
 
-type t = {
-  mutable dir_epoch : int;
-  dir_overrides : (Oid.t, int) Hashtbl.t;
-  mutable dir_shards : Shard_map.t option;
-  mutable dir_busy : bool;
-  mutable dir_gauge : Metrics.gauge option;
-}
-
-let create ?shards () =
-  { dir_epoch = 0; dir_overrides = Hashtbl.create 32; dir_shards = shards;
-    dir_busy = false; dir_gauge = None }
-
-let attach_metrics t reg =
-  let g = Metrics.gauge reg "reconfig.epoch" in
-  Metrics.set_gauge g t.dir_epoch;
-  t.dir_gauge <- Some g
-
-let epoch t = t.dir_epoch
-let lookup t oid = Hashtbl.find_opt t.dir_overrides oid
-let shards t = t.dir_shards
-
-let commit ?shards t ~epoch ~moves =
-  if epoch <> t.dir_epoch + 1 then
-    invalid_arg
-      (Printf.sprintf "Placement.commit: epoch %d, directory at %d" epoch
-         t.dir_epoch);
-  List.iter (fun (oid, part) -> Hashtbl.replace t.dir_overrides oid part) moves;
-  (match shards with Some sm -> t.dir_shards <- Some sm | None -> ());
-  t.dir_epoch <- epoch;
-  match t.dir_gauge with None -> () | Some g -> Metrics.set_gauge g epoch
-
-let begin_exclusive t = if t.dir_busy then false else (t.dir_busy <- true; true)
-let end_exclusive t = t.dir_busy <- false
-
 type view = {
   mutable v_epoch : int;
   v_overrides : (Oid.t, int) Hashtbl.t;
@@ -44,15 +10,17 @@ type view = {
 let fresh_view ?shards () =
   { v_epoch = 0; v_overrides = Hashtbl.create 8; v_shards = shards }
 
-let view_epoch v = v.v_epoch
-let view_shards v = v.v_shards
+let epoch v = v.v_epoch
+let lookup v oid = Hashtbl.find_opt v.v_overrides oid
+let shards v = v.v_shards
+let size v = Hashtbl.length v.v_overrides
 
-let refresh v t =
-  Hashtbl.reset v.v_overrides;
-  Hashtbl.iter (fun oid part -> Hashtbl.replace v.v_overrides oid part)
-    t.dir_overrides;
-  v.v_shards <- t.dir_shards;
-  v.v_epoch <- t.dir_epoch
+(* Wire size of a shipped view: epoch header, one (oid, partition) pair
+   per override, one (lo, hi, group) arc per shard-table entry. *)
+let wire_bytes v =
+  8
+  + (16 * Hashtbl.length v.v_overrides)
+  + (match v.v_shards with Some sm -> 24 * Shard_map.count sm | None -> 0)
 
 let install ?shards v ~epoch ~moves =
   if epoch > v.v_epoch then begin
@@ -67,17 +35,6 @@ let copy_view ~src ~dst =
     src.v_overrides;
   dst.v_shards <- src.v_shards;
   dst.v_epoch <- src.v_epoch
-
-let view_size v = Hashtbl.length v.v_overrides
-
-(* Wire size of a shipped view: epoch header, one (oid, partition) pair
-   per override, one (lo, hi, group) arc per shard-table entry. *)
-let view_bytes v =
-  8
-  + (16 * Hashtbl.length v.v_overrides)
-  + (match v.v_shards with Some sm -> 24 * Shard_map.count sm | None -> 0)
-
-let view_lookup v oid = Hashtbl.find_opt v.v_overrides oid
 
 (* Resolution order: a per-object override (a §10 migration) wins, then
    the shard table (elastic topology, §15), then the static oracle.
@@ -99,3 +56,41 @@ let destinations v app ~partitions req =
   App.destinations_under
     ~placement_of:(placement_under v app.App.placement_of)
     app ~partitions req
+
+type t = {
+  dir_view : view;
+  mutable dir_busy : bool;
+  mutable dir_metrics : Metrics.t option;
+}
+
+let create ?shards () =
+  { dir_view = fresh_view ?shards (); dir_busy = false; dir_metrics = None }
+
+let view t = t.dir_view
+
+(* The directory is the only writer of the epoch and shard-count
+   gauges. *)
+let publish t =
+  match t.dir_metrics with
+  | None -> ()
+  | Some reg -> (
+      Metrics.set_gauge (Metrics.gauge reg "reconfig.epoch") t.dir_view.v_epoch;
+      match t.dir_view.v_shards with
+      | Some sm ->
+          Metrics.set_gauge (Metrics.gauge reg "topology.shards") (Shard_map.count sm)
+      | None -> ())
+
+let attach_metrics t reg =
+  t.dir_metrics <- Some reg;
+  publish t
+
+let commit ?shards t ~epoch ~moves =
+  if epoch <> t.dir_view.v_epoch + 1 then
+    invalid_arg
+      (Printf.sprintf "Placement.commit: epoch %d, directory at %d" epoch
+         t.dir_view.v_epoch);
+  install ?shards t.dir_view ~epoch ~moves;
+  publish t
+
+let begin_exclusive t = if t.dir_busy then false else (t.dir_busy <- true; true)
+let end_exclusive t = t.dir_busy <- false

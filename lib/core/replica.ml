@@ -748,7 +748,7 @@ let rec initiate_state_transfer_locked r ~failed_tmp ~cover =
      before [rid] and will be skipped. *)
   (match r.r_pending_view with
   | Some v ->
-      if Placement.view_epoch v > Placement.view_epoch r.r_view then
+      if Placement.epoch v > Placement.epoch r.r_view then
         Placement.copy_view ~src:v ~dst:r.r_view;
       r.r_pending_view <- None
   | None -> ());
@@ -893,7 +893,7 @@ let do_transfer r ~lagger_idx ~failed_tmp =
   (* Snapshot the placement view in the same turn: it must describe the
      same instant as [upto] (exec_migration installs the epoch and marks
      the command applied without suspending in between). *)
-  let plc = Placement.fresh_view ?shards:(Config.initial_shards r.r_cfg) () in
+  let plc = Placement.fresh_view () in
   Placement.copy_view ~src:r.r_view ~dst:plc;
   (* The lease table rides along under the same single-turn snapshot
      argument: it describes the same instant as [upto] (grants are
@@ -905,7 +905,7 @@ let do_transfer r ~lagger_idx ~failed_tmp =
   in
   let loc_bytes = loc_footprint loc_values in
   let plc_bytes =
-    Placement.view_bytes plc + Read_lease.snapshot_bytes lease_snap
+    Placement.wire_bytes plc + Read_lease.snapshot_bytes lease_snap
   in
   charge_ser r ser_bytes;
   let qp = qp_to r lagger.r_node in
@@ -1488,6 +1488,15 @@ let exec_multi r req ~tmp ~dst ~on_applied =
    write is absorbed by dual versioning), then every partition installs
    the new placement epoch at the command's position in the order. *)
 
+(* A split or merge installs its shard table instead of per-object
+   overrides: the table already resolves the moved keys, and leaving no
+   override behind is what lets a later merge restore the pre-split map
+   exactly. *)
+let placement_moves mg =
+  match mg.mg_shards with
+  | Some _ -> []
+  | None -> List.map (fun (oid, _) -> (oid, mg.mg_dst)) mg.mg_oids
+
 (* Acknowledge a migration to the orchestrator (a small fixed-size
    completion record, like a reply). Sent even when the command was
    covered by a state transfer: the adopted state includes its
@@ -1561,16 +1570,9 @@ let exec_migration r mg ~tmp ~dst ~on_applied =
   (* Install the new epoch and mark the command applied with no
      suspension in between: a state-transfer donor snapshots
      (r_last_applied, placement view) in one event-loop turn and must
-     see them consistent. A split or merge installs its shard table
-     instead of per-object overrides: the table already resolves the
-     moved keys, and leaving no override behind is what lets a later
-     merge restore the pre-split map exactly. *)
-  let moves =
-    match mg.mg_shards with
-    | Some _ -> []
-    | None -> List.map (fun (oid, _) -> (oid, mg.mg_dst)) mg.mg_oids
-  in
-  Placement.install ?shards:mg.mg_shards r.r_view ~epoch:mg.mg_epoch ~moves;
+     see them consistent. *)
+  Placement.install ?shards:mg.mg_shards r.r_view ~epoch:mg.mg_epoch
+    ~moves:(placement_moves mg);
   on_applied ();
   Heron_obs.Metrics.incr r.r_obs.ob_migrations_applied;
   coordinate r ~tmp ~dst ~stage:2 ~wait:r.r_cfg.Config.wait_phase4;
@@ -1589,7 +1591,7 @@ let exec_migration r mg ~tmp ~dst ~on_applied =
    dequeued, so the view cannot move between a peer's decision and
    ours. *)
 let stale_routed r req =
-  Placement.view_epoch r.r_view > 0
+  Placement.epoch r.r_view > 0
   && (match
         Placement.destinations r.r_view r.r_app
           ~partitions:r.r_cfg.Config.partitions req.rq_payload
@@ -1602,7 +1604,7 @@ let stale_routed r req =
 
 let redirect r req ~tmp =
   Heron_obs.Metrics.incr r.r_obs.ob_redirects;
-  send_reply r req ~tmp (Redirect { epoch = Placement.view_epoch r.r_view })
+  send_reply r req ~tmp (Redirect { epoch = Placement.epoch r.r_view })
 
 (* {1 The delivery loop (Algorithm 1, DESIGN.md §12)}
 

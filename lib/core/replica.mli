@@ -63,8 +63,12 @@ type migration = {
     barrier fixes the cut, the destination partition pulls the objects'
     raw dual-version cells from Phase-2-reached source replicas, and
     each replica installs [mg_epoch] at the command's position in the
-    delivery order. Built by {!Heron_reconfig.Migration} and
-    {!Heron_reconfig.Elastic}. *)
+    delivery order. Built by {!Heron_reconfig.Migration}. *)
+
+val placement_moves : migration -> (Oid.t * int) list
+(** The overrides a command installs: each object at [mg_dst] for a
+    migration, none for a split or merge (its shard table already
+    resolves the moved keys). *)
 
 type lease_grant = {
   lg_part : int;  (** the granter's partition (also the multicast dst) *)

@@ -85,19 +85,21 @@ let region_size_for cfg specs ~part =
           if reconfig || p = part then acc + cell spec.App.spec_cap else acc)
     0 specs
 
-(* Register the catalog objects owned by one partition into a store.
-   With the elastic topology on, the epoch-0 shard table decides which
-   group homes each partition-placed object; the static placement is
-   only the oracle's input then. *)
-let load_partition_catalog ~specs ~part ?shards store =
+(* Register the catalog objects a partition homes at epoch 0 into a
+   store: the objects [Placement.placement_under] places there under an
+   epoch-0 view, plus every replicated object. With the elastic
+   topology on, that view holds the deployment-time shard table. *)
+let load_partition_catalog ~specs ~part ~view store =
   List.iter
     (fun spec ->
       let owned =
-        match (spec.App.spec_placement, shards) with
-        | App.Replicated, _ -> true
-        | App.Partition _, Some sm ->
-            Heron_topology.Shard_map.home sm (Oid.to_int spec.App.spec_oid) = part
-        | App.Partition p, None -> p = part
+        match
+          Placement.placement_under view
+            (fun _ -> spec.App.spec_placement)
+            spec.App.spec_oid
+        with
+        | App.Replicated -> true
+        | App.Partition p -> p = part
       in
       if owned then
         Versioned_store.register store spec.App.spec_oid ~klass:spec.App.spec_klass
@@ -134,15 +136,7 @@ let create eng ~cfg ~app =
         | _ -> ())
       specs
   end;
-  let shards = Config.initial_shards cfg in
-  (* The serving-set gauge starts at the deployment-time table; splits
-     and merges move it from there. *)
-  (match shards with
-  | Some sm ->
-      Heron_obs.Metrics.set_gauge
-        (Heron_obs.Metrics.gauge cfg.Config.metrics "topology.shards")
-        (Heron_topology.Shard_map.count sm)
-  | None -> ());
+  let sys_dir = Placement.create ?shards:(Config.initial_shards cfg) () in
   let sys_replicas =
     Array.init cfg.Config.partitions (fun part ->
         let region = region_size_for cfg specs ~part + 64 in
@@ -155,11 +149,12 @@ let create eng ~cfg ~app =
   Array.iter
     (fun row -> Array.iter (fun r -> Replica.set_directory r sys_replicas) row)
     sys_replicas;
-  (* Load the catalog. *)
+  (* Load the catalog as the directory places it at epoch 0. *)
+  let view = Placement.view sys_dir in
   Array.iteri
     (fun part row ->
       Array.iter
-        (fun r -> load_partition_catalog ~specs ~part ?shards (Replica.store r))
+        (fun r -> load_partition_catalog ~specs ~part ~view (Replica.store r))
         row)
     sys_replicas;
   let groups = Array.map (Array.map Replica.node) sys_replicas in
@@ -200,7 +195,6 @@ let create eng ~cfg ~app =
                 Ramcast.log_retained sys_mcast ~gid:part ~idx:(Replica.idx r)))
         row)
     sys_replicas;
-  let sys_dir = Placement.create ?shards () in
   if cfg.Config.reconfig.Config.enabled then
     Placement.attach_metrics sys_dir cfg.Config.metrics;
   let sys_batcher =
@@ -307,7 +301,7 @@ let restart_replica t ~part ~idx =
   (* Epoch-0 ownership, like [create]: anything a split or migration
      re-homed since then arrives with the donor's snapshot. *)
   load_partition_catalog ~specs ~part
-    ?shards:(Config.initial_shards t.sys_cfg)
+    ~view:(Placement.fresh_view ?shards:(Config.initial_shards t.sys_cfg) ())
     (Replica.store fresh);
   (* Peers address coordination/state/store memory through the shared
      directory matrix; the in-place swap repoints them all. *)
@@ -570,9 +564,9 @@ let submit_loop t ~from ~dst payload =
     else begin
       Heron_obs.Metrics.incr t.sys_retries;
       let view = client_view t from in
-      let before = Placement.view_epoch view in
-      Placement.refresh view t.sys_dir;
-      if Placement.view_epoch view = before then begin
+      let before = Placement.epoch view in
+      Placement.copy_view ~src:(Placement.view t.sys_dir) ~dst:view;
+      if Placement.epoch view = before then begin
         (* Jittered backoff: the migration behind the redirect has not
            committed yet, and every redirected client lands here in the
            same virtual instant — a fixed pause would retry them all in
@@ -599,7 +593,7 @@ let submit_loop t ~from ~dst payload =
       | Some col when trace <> 0 ->
           ignore
             (Heron_obs.Reqtrace.add_span col ~trace ~parent ~stage:"redirect"
-               ~attrs:[ ("epoch", string_of_int (Placement.view_epoch view)) ]
+               ~attrs:[ ("epoch", string_of_int (Placement.epoch view)) ]
                ~start:round_start (Engine.now t.sys_eng))
       | _ -> ());
       go ~dst:dst'
@@ -637,10 +631,8 @@ let submit_loop t ~from ~dst payload =
 let submit_to t ~from ~dst payload = submit_loop t ~from ~dst payload
 
 let submit t ~from payload =
-  let partitions = t.sys_cfg.Config.partitions in
   let dst =
-    if t.sys_cfg.Config.reconfig.Config.enabled then
-      Placement.destinations (client_view t from) t.sys_app ~partitions payload
-    else App.destinations t.sys_app ~partitions payload
+    Placement.destinations (client_view t from) t.sys_app
+      ~partitions:t.sys_cfg.Config.partitions payload
   in
   submit_loop t ~from ~dst payload

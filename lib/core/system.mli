@@ -47,9 +47,9 @@ val multicast :
 val directory : ('req, 'resp) t -> Placement.t
 (** The deployment's authoritative placement directory: epoch 0 with no
     overrides — and, with the elastic topology on, the deployment-time
-    shard table — until migrations ({!Heron_reconfig.Migration}) or
-    splits/merges ({!Heron_reconfig.Elastic}) commit. Clients cache
-    views of it and refresh on wrong-epoch redirects. *)
+    shard table — until migrations, splits or merges
+    ({!Heron_reconfig.Migration}) commit. Clients cache views of it and
+    refresh on wrong-epoch redirects. *)
 
 val new_client_node : ('req, 'resp) t -> name:string -> Heron_rdma.Fabric.node
 (** Add a client machine to the fabric. *)
@@ -59,10 +59,11 @@ val submit : ('req, 'resp) t -> from:Heron_rdma.Fabric.node -> 'req -> (int * 'r
     multicast it to the partitions derived from its read set and write
     sketch, then block until one replica of each destination partition
     replied. Returns the responses as [(partition, response)] pairs in
-    partition order. Under live repartitioning the destinations come
-    from the client's cached placement view; on a wrong-epoch redirect
-    the client refreshes the view from {!directory}, recomputes the
-    destinations and retries transparently. *)
+    partition order. The destinations come from the client's cached
+    placement view (the static oracle until a reconfiguration commits);
+    on a wrong-epoch redirect the client refreshes the view from
+    {!directory}, recomputes the destinations and retries
+    transparently. *)
 
 val restart_replica : ('req, 'resp) t -> part:int -> idx:int -> unit
 (** Recover a crashed replica (paper Section V-E's worst case): bring

@@ -37,6 +37,17 @@ let splits t = t.rb_splits
 let merges t = t.rb_merges
 let stop t = t.rb_stop <- true
 
+(* The partition an object is homed at under the directory's view;
+   [None] for replicated objects. *)
+let home sys oid =
+  match
+    Placement.placement_under
+      (Placement.view (System.directory sys))
+      (System.app sys).App.placement_of oid
+  with
+  | App.Partition p -> Some p
+  | App.Replicated -> None
+
 (* Per-object demand over the last window: drain every live replica and
    take the per-object maximum — replicas of one partition see the same
    deliveries, and for a multi-partition request each destination counts
@@ -71,7 +82,7 @@ let plan sys policy counts ~gauge =
   let placed =
     List.filter_map
       (fun (oid, n) ->
-        match Migration.current_partition sys oid with
+        match home sys oid with
         | Some p ->
             load.(p) <- load.(p) + n;
             (* Only registered, partition-placed objects can move. *)
@@ -122,7 +133,7 @@ let plan sys policy counts ~gauge =
 let topology_step t sys counts ~relieved =
   let cfg = System.config sys in
   if cfg.Config.topology.Config.topo_enabled then
-    match Placement.shards (System.directory sys) with
+    match Placement.shards (Placement.view (System.directory sys)) with
     | None -> ()
     | Some sm ->
         let policy = t.rb_policy in
@@ -130,7 +141,7 @@ let topology_step t sys counts ~relieved =
         let load = Array.make partitions 0 in
         List.iter
           (fun (oid, n) ->
-            match Migration.current_partition sys oid with
+            match home sys oid with
             | Some p -> load.(p) <- load.(p) + n
             | None -> ())
           counts;
@@ -152,7 +163,7 @@ let topology_step t sys counts ~relieved =
               t.rb_hot_rounds <- 0;
               match Shard_map.index_of_group sm g with
               | Some shard -> (
-                  match Elastic.split sys ~from:t.rb_node ~shard with
+                  match Migration.split sys ~from:t.rb_node ~shard with
                   | Ok _ -> t.rb_splits <- t.rb_splits + 1
                   | Error _ -> ())
               | None -> ()
@@ -177,7 +188,7 @@ let topology_step t sys counts ~relieved =
               t.rb_cold_rounds <- t.rb_cold_rounds + 1;
               if t.rb_cold_rounds >= policy.merge_patience then begin
                 t.rb_cold_rounds <- 0;
-                match Elastic.merge sys ~from:t.rb_node ~left:i with
+                match Migration.merge sys ~from:t.rb_node ~left:i with
                 | Ok _ -> t.rb_merges <- t.rb_merges + 1
                 | Error _ -> ()
               end

@@ -2075,7 +2075,10 @@ let test_durability_truncation_races_migration () =
   check_int "all ops completed" 75 !completed;
   check_bool "migration committed" true !moved;
   check_bool "key rehomed" true
-    (Heron_reconfig.Migration.current_partition w.sys (Kv_app.oid_of_key 0) = Some 1);
+    (Placement.placement_under
+       (Placement.view (System.directory w.sys))
+       (System.app w.sys).App.placement_of (Kv_app.oid_of_key 0)
+    = App.Partition 1);
   assert_replicas_converged w;
   check_bool "checkpoints taken throughout" true
     (counter_of reg "durability.checkpoints" > 0);

@@ -19,11 +19,12 @@ let oid = Oid.of_int
 
 let test_placement_directory () =
   let dir = Placement.create () in
-  check_int "epoch 0" 0 (Placement.epoch dir);
-  check_bool "no override" true (Placement.lookup dir (oid 3) = None);
+  let v = Placement.view dir in
+  check_int "epoch 0" 0 (Placement.epoch v);
+  check_bool "no override" true (Placement.lookup v (oid 3) = None);
   Placement.commit dir ~epoch:1 ~moves:[ (oid 3, 1) ];
-  check_int "epoch 1" 1 (Placement.epoch dir);
-  check_bool "override" true (Placement.lookup dir (oid 3) = Some 1);
+  check_int "epoch 1" 1 (Placement.epoch v);
+  check_bool "override" true (Placement.lookup v (oid 3) = Some 1);
   check_bool "non-consecutive epoch rejected" true
     (try
        Placement.commit dir ~epoch:3 ~moves:[];
@@ -38,7 +39,7 @@ let test_placement_directory () =
 let test_placement_views () =
   let static o = App.Partition (Oid.to_int o mod 2) in
   let v = Placement.fresh_view () in
-  check_int "fresh epoch" 0 (Placement.view_epoch v);
+  check_int "fresh epoch" 0 (Placement.epoch v);
   check_bool "static passthrough" true
     (Placement.placement_under v static (oid 3) = App.Partition 1);
   Placement.install v ~epoch:1 ~moves:[ (oid 3, 0) ];
@@ -50,25 +51,25 @@ let test_placement_views () =
   check_bool "stale install ignored" true
     (Placement.placement_under v static (oid 3) = App.Partition 0);
   Placement.install v ~epoch:2 ~moves:[ (oid 5, 0) ];
-  check_int "epoch advances" 2 (Placement.view_epoch v);
-  check_int "override count" 2 (Placement.view_size v);
+  check_int "epoch advances" 2 (Placement.epoch v);
+  check_int "override count" 2 (Placement.size v);
   (* A replicated object never migrates, whatever the table says. *)
   let repl _ = App.Replicated in
   check_bool "replicated unaffected" true
     (Placement.placement_under v repl (oid 3) = App.Replicated);
-  (* refresh pulls the directory wholesale. *)
+  (* A client refresh copies the directory's view wholesale. *)
   let dir = Placement.create () in
   Placement.commit dir ~epoch:1 ~moves:[ (oid 7, 1) ];
-  Placement.refresh v dir;
-  check_int "refresh resets epoch" 1 (Placement.view_epoch v);
+  Placement.copy_view ~src:(Placement.view dir) ~dst:v;
+  check_int "refresh resets epoch" 1 (Placement.epoch v);
   check_bool "refresh resets overrides" true
-    (Placement.view_lookup v (oid 3) = None
-    && Placement.view_lookup v (oid 7) = Some 1);
+    (Placement.lookup v (oid 3) = None
+    && Placement.lookup v (oid 7) = Some 1);
   (* copy_view is the donor shipping its placement to a lagger. *)
   let w = Placement.fresh_view () in
   Placement.copy_view ~src:v ~dst:w;
-  check_int "copied epoch" 1 (Placement.view_epoch w);
-  check_bool "copied override" true (Placement.view_lookup w (oid 7) = Some 1)
+  check_int "copied epoch" 1 (Placement.epoch w);
+  check_bool "copied override" true (Placement.lookup w (oid 7) = Some 1)
 
 (* {1 System helpers} *)
 
@@ -86,6 +87,12 @@ let make_sys ?(seed = 5) ?(keys = 8) ?(partitions = 2) () =
   in
   System.start sys;
   (eng, sys)
+
+(* Where key [k] lives under the directory's view. *)
+let home sys k =
+  Placement.placement_under
+    (Placement.view (System.directory sys))
+    (System.app sys).App.placement_of (Kv_app.oid_of_key k)
 
 let counter_value sys name =
   Heron_obs.Metrics.counter_value
@@ -111,9 +118,9 @@ let test_migrate_single_key () =
       (match Migration.migrate sys ~from:node ~oids:[ Kv_app.oid_of_key 1 ] ~dst:0 with
       | Ok () -> ()
       | Error e -> Alcotest.failf "migrate failed: %s" e);
-      check_int "epoch bumped" 1 (Placement.epoch (System.directory sys));
+      check_int "epoch bumped" 1 (Placement.epoch (Placement.view (System.directory sys)));
       check_bool "directory override" true
-        (Migration.current_partition sys (Kv_app.oid_of_key 1) = Some 0);
+        (home sys 1 = App.Partition 0);
       (match System.submit sys ~from:node (Kv_app.Get 1) with
       | [ (part, Kv_app.Value v) ] ->
           check_int "served by new home" 0 part;
@@ -145,7 +152,7 @@ let test_migrate_batch_and_validation () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "batch migrate failed: %s" e);
       check_int "single epoch for the batch" 1
-        (Placement.epoch (System.directory sys));
+        (Placement.epoch (Placement.view (System.directory sys)));
       (* Validation errors. *)
       let fails ~oids ~dst =
         match Migration.migrate sys ~from:node ~oids ~dst with
@@ -232,7 +239,7 @@ let test_rebalancer_spreads_hotspot () =
   let on_p0 =
     List.length
       (List.filter
-         (fun k -> Migration.current_partition sys (Kv_app.oid_of_key k) = Some 0)
+         (fun k -> home sys k = App.Partition 0)
          [ 0; 2; 4; 6 ])
   in
   check_bool "hot keys spread" true (on_p0 < 4);
@@ -262,7 +269,7 @@ let test_rebalancer_leaves_balance_alone () =
   Engine.run_until eng (Engine.now eng + Time_ns.ms 1);
   check_bool "rebalancer ran" true (Rebalancer.rounds rb > 5);
   check_int "no moves under balanced load" 0 (Rebalancer.moves rb);
-  check_int "epoch untouched" 0 (Placement.epoch (System.directory sys))
+  check_int "epoch untouched" 0 (Placement.epoch (Placement.view (System.directory sys)))
 
 (* {1 Chaos integration}
 

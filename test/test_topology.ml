@@ -1,7 +1,8 @@
-(* Tests for the elastic topology (lib/topology + Elastic): the hash
-   ring, the shard table's split/merge algebra — pinned as qcheck
-   properties — and end-to-end shard splits and merges on a live
-   system (DESIGN.md §15). *)
+(* Tests for the elastic topology (lib/topology + Migration.split and
+   merge): the hash ring, the shard table's split/merge algebra and the
+   one placement resolver — pinned as qcheck properties — and
+   end-to-end shard splits and merges on a live system (DESIGN.md
+   §15). *)
 
 open Heron_sim
 open Heron_rdma
@@ -159,6 +160,131 @@ let split_moves_only_carved_prop =
           done;
           !ok)
 
+(* {1 One resolver (qcheck)}
+
+   The directory, a client view refreshed from it and a replica view
+   that installed the same commands one by one must resolve every
+   object alike after every commit — and match a model of the
+   resolution order (override, then shard table, then static oracle). *)
+
+let qc_keys = 12
+
+(* Every fourth object replicated, the rest spread round-robin. *)
+let qc_static ~pool o =
+  let k = Oid.to_int o in
+  if k mod 4 = 3 then App.Replicated else App.Partition (k mod pool)
+
+let views_agree_prop =
+  QCheck.Test.make ~name:"views agree after every commit"
+    ~count:300
+    QCheck.(
+      triple (int_range 2 4) (option (int_range 1 4))
+        (small_list (triple (int_bound 2) (int_bound 15) (int_bound 15))))
+    (fun (pool, shards, cmds) ->
+      let initial =
+        Option.map (fun n -> Shard_map.initial ~shards:(min n pool) ~pool) shards
+      in
+      let static = qc_static ~pool in
+      let dir = Placement.create ?shards:initial () in
+      let refreshed = Placement.fresh_view ?shards:initial () in
+      let replayed = Placement.fresh_view ?shards:initial () in
+      let overrides = Hashtbl.create 8 and table = ref initial in
+      let expected oid =
+        match (static oid, Hashtbl.find_opt overrides oid, !table) with
+        | App.Replicated, _, _ -> App.Replicated
+        | _, Some g, _ -> App.Partition g
+        | _, None, Some sm -> App.Partition (Shard_map.home sm (Oid.to_int oid))
+        | p, None, None -> p
+      in
+      let agree () =
+        Placement.copy_view ~src:(Placement.view dir) ~dst:refreshed;
+        let d = Placement.view dir in
+        Placement.epoch d = Placement.epoch refreshed
+        && Placement.epoch d = Placement.epoch replayed
+        && List.for_all
+             (fun k ->
+               let oid = Oid.of_int k in
+               let home = Placement.placement_under d static oid in
+               home = Placement.placement_under refreshed static oid
+               && home = Placement.placement_under replayed static oid
+               && home = expected oid)
+             (List.init qc_keys Fun.id)
+      in
+      let commit ?shards moves =
+        let epoch = Placement.epoch (Placement.view dir) + 1 in
+        Placement.commit ?shards dir ~epoch ~moves;
+        Placement.install ?shards replayed ~epoch ~moves;
+        List.iter (fun (oid, g) -> Hashtbl.replace overrides oid g) moves;
+        Option.iter (fun sm -> table := Some sm) shards
+      in
+      agree ()
+      && List.for_all
+           (fun (kind, a, b) ->
+             (match (kind, !table) with
+             | 0, _ ->
+                 let oid = Oid.of_int (a mod qc_keys) in
+                 if static oid <> App.Replicated then commit [ (oid, b mod pool) ]
+             | 1, Some sm -> (
+                 match Shard_map.split sm ~shard:(a mod Shard_map.count sm) ~pool with
+                 | Ok (sm', _) -> commit ~shards:sm' []
+                 | Error _ -> ())
+             | 2, Some sm when Shard_map.count sm >= 2 -> (
+                 match Shard_map.merge sm ~left:(a mod (Shard_map.count sm - 1)) with
+                 | Ok (sm', _) -> commit ~shards:sm' []
+                 | Error _ -> ())
+             | _ -> ());
+             agree ())
+           cmds)
+
+(* Epoch-0 resolution is exactly what System.create loads: every
+   replica of a partition holds the objects the directory places there
+   (plus every replicated object), and nothing else. *)
+let catalog_load_prop =
+  QCheck.Test.make ~name:"epoch 0 resolves as loaded"
+    ~count:40
+    QCheck.(triple (int_range 1 4) (option (int_range 1 4)) (int_range 1 16))
+    (fun (partitions, shards, keys) ->
+      let static = qc_static ~pool:partitions in
+      let kv = Kv_app.app ~keys ~partitions ~init:0L in
+      let app =
+        {
+          kv with
+          App.placement_of = static;
+          catalog =
+            (fun () ->
+              List.map
+                (fun spec ->
+                  { spec with App.spec_placement = static spec.App.spec_oid })
+                (kv.App.catalog ()));
+        }
+      in
+      let cfg =
+        {
+          (Config.default ~partitions ~replicas:3) with
+          Config.metrics = Heron_obs.Metrics.create ();
+          reconfig = { Config.enabled = true };
+          topology =
+            (match shards with
+            | Some n -> { Config.topo_enabled = true; topo_shards = min n partitions }
+            | None -> Config.default_topology);
+        }
+      in
+      let sys = System.create (Engine.create ~seed:1 ()) ~cfg ~app in
+      let dir = Placement.view (System.directory sys) in
+      List.for_all
+        (fun spec ->
+          let oid = spec.App.spec_oid in
+          let home = Placement.placement_under dir static oid in
+          Array.for_all
+            (fun row ->
+              Array.for_all
+                (fun r ->
+                  Versioned_store.mem (Replica.store r) oid
+                  = (home = App.Replicated || home = App.Partition (Replica.part r)))
+                row)
+            (System.replicas sys))
+        (app.App.catalog ()))
+
 (* {1 Live splits and merges} *)
 
 let make_sys ?(seed = 5) ?(keys = 8) ?(partitions = 4) ?(shards = 2) () =
@@ -195,14 +321,14 @@ let on_client ?(name = "t-client") ~eng sys f =
   | None -> Alcotest.fail "client fiber did not finish"
 
 let committed_table sys =
-  match Placement.shards (System.directory sys) with
+  match Placement.shards (Placement.view (System.directory sys)) with
   | Some t -> t
   | None -> Alcotest.fail "topology enabled but no committed table"
 
 (* Every replica's view resolves ownership identically to the
    directory — the invariant the keep-or-redirect decision rests on. *)
 let check_views_agree sys =
-  let dir_epoch = Placement.epoch (System.directory sys) in
+  let dir_epoch = Placement.epoch (Placement.view (System.directory sys)) in
   let t = committed_table sys in
   Array.iter
     (fun row ->
@@ -210,8 +336,8 @@ let check_views_agree sys =
         (fun r ->
           let v = Replica.placement_view r in
           check_int "replica at directory epoch" dir_epoch
-            (Placement.view_epoch v);
-          match Placement.view_shards v with
+            (Placement.epoch v);
+          match Placement.shards v with
           | None -> Alcotest.fail "replica view lost the table"
           | Some tv -> check_bool "replica table agrees" true (Shard_map.equal t tv))
         row)
@@ -227,16 +353,16 @@ let test_split_then_merge_live () =
       done;
       (* Split shard 0 onto a dormant group. *)
       let info =
-        match Elastic.split sys ~from:node ~shard:0 with
+        match Migration.split sys ~from:node ~shard:0 with
         | Ok o -> o
         | Error e -> Alcotest.failf "split failed: %s" e
       in
-      check_int "split epoch" 1 (Placement.epoch (System.directory sys));
+      check_int "split epoch" 1 (Placement.epoch (Placement.view (System.directory sys)));
       check_int "splits counter" 1 (counter_value sys "topology.splits");
       check_int "shards gauge" 3 (gauge_value sys "topology.shards");
       check_int "three shards committed" 3 (Shard_map.count (committed_table sys));
       check_bool "child was dormant" true
-        (Shard_map.index_of_group initial info.Elastic.el_dst = None);
+        (Shard_map.index_of_group initial info.Migration.rs_dst = None);
       (* Every key reads back through the new table; writes keep
          working wherever they now live. *)
       for k = 0 to 7 do
@@ -250,12 +376,12 @@ let test_split_then_merge_live () =
       done;
       (* Merge the pair back: the table returns to the epoch-0 layout
          (the live counterpart of the qcheck inverse property). *)
-      (match Elastic.merge sys ~from:node ~left:0 with
+      (match Migration.merge sys ~from:node ~left:0 with
       | Ok o ->
-          check_int "merge returns the borrowed group" info.Elastic.el_dst
-            o.Elastic.el_src
+          check_int "merge returns the borrowed group" info.Migration.rs_dst
+            o.Migration.rs_src
       | Error e -> Alcotest.failf "merge failed: %s" e);
-      check_int "merge epoch" 2 (Placement.epoch (System.directory sys));
+      check_int "merge epoch" 2 (Placement.epoch (Placement.view (System.directory sys)));
       check_int "merges counter" 1 (counter_value sys "topology.merges");
       check_int "shards gauge back" 2 (gauge_value sys "topology.shards");
       check_bool "merge restored the epoch-0 table" true
@@ -268,18 +394,118 @@ let test_split_then_merge_live () =
       done);
   check_views_agree sys
 
+(* A migration's override outranks the shard table: a key pinned to a
+   group stays there while the shard it hashes into splits and merges
+   back, neither command moves it, and a split cannot start while a
+   migration holds the exclusive slot. *)
+let test_override_survives_reshard () =
+  let keys = 16 in
+  let eng, sys = make_sys ~keys () in
+  let initial = committed_table sys in
+  let point k = Ring.point_of_key (Oid.to_int (Kv_app.oid_of_key k)) in
+  (* A shard whose split carves at least one key, and the carved keys. *)
+  let shard, info, carved =
+    let rec find s =
+      if s >= Shard_map.count initial then Alcotest.fail "no split carves a key"
+      else
+        match Shard_map.split initial ~shard:s ~pool:4 with
+        | Ok (_, info) -> (
+            match
+              List.filter
+                (fun k ->
+                  info.Shard_map.sp_mid <= point k && point k < info.Shard_map.sp_hi)
+                (List.init keys Fun.id)
+            with
+            | [] -> find (s + 1)
+            | carved -> (s, info, carved))
+        | Error _ -> find (s + 1)
+    in
+    find 0
+  in
+  let k = List.hd carved in
+  let oid = Kv_app.oid_of_key k in
+  (* Pin k to a group that is neither side of the split. *)
+  let g =
+    List.find
+      (fun g -> g <> info.Shard_map.sp_parent && g <> info.Shard_map.sp_child)
+      [ 0; 1; 2; 3 ]
+  in
+  let home () =
+    Placement.placement_under
+      (Placement.view (System.directory sys))
+      (System.app sys).App.placement_of oid
+  in
+  let read_back node expect =
+    match System.submit sys ~from:node (Kv_app.Get k) with
+    | [ (part, Kv_app.Value v) ] ->
+        check_int "served by the pinned group" g part;
+        check_bool "value intact" true (v = expect)
+    | _ -> Alcotest.fail "unexpected response"
+  in
+  on_client ~eng sys (fun node ->
+      ignore (System.submit sys ~from:node (Kv_app.Put (k, 7L)));
+      (match Migration.migrate sys ~from:node ~oids:[ oid ] ~dst:g with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "migrate failed: %s" e);
+      check_bool "override installed" true (home () = App.Partition g);
+      (match Migration.split sys ~from:node ~shard with
+      | Ok o ->
+          check_int "split skips the pinned key" (List.length carved - 1)
+            o.Migration.rs_moved
+      | Error e -> Alcotest.failf "split failed: %s" e);
+      check_bool "override wins over the split table" true
+        (home () = App.Partition g);
+      Array.iter
+        (fun r ->
+          check_bool "child group never bootstrapped k" false
+            (Versioned_store.mem (Replica.store r) oid))
+        (System.replicas sys).(info.Shard_map.sp_child);
+      read_back node 7L;
+      (match Migration.merge sys ~from:node ~left:shard with
+      | Ok o ->
+          check_int "merge skips the pinned key" (List.length carved - 1)
+            o.Migration.rs_moved
+      | Error e -> Alcotest.failf "merge failed: %s" e);
+      check_bool "override wins over the merged table" true
+        (home () = App.Partition g);
+      check_bool "merge restored the epoch-0 table" true
+        (Shard_map.equal initial (committed_table sys));
+      ignore (System.submit sys ~from:node (Kv_app.Add (k, 1L)));
+      read_back node 8L;
+      (* A split issued while a migration holds the exclusive slot is
+         refused, not queued. *)
+      let migrated = ref None in
+      let mig = System.new_client_node sys ~name:"t-mig" in
+      Fabric.spawn_on mig (fun () ->
+          migrated :=
+            Some
+              (Migration.migrate sys ~from:mig ~oids:[ oid ]
+                 ~dst:info.Shard_map.sp_parent));
+      Engine.sleep (Time_ns.us 1);
+      check_bool "migration still in flight" true (!migrated = None);
+      (match Migration.split sys ~from:node ~shard with
+      | Ok _ -> Alcotest.fail "split accepted while a migration was in flight"
+      | Error _ -> ());
+      while !migrated = None do
+        Engine.sleep (Time_ns.us 10)
+      done;
+      check_bool "the migration committed" true (!migrated = Some (Ok ()));
+      check_bool "k follows its last migration" true
+        (home () = App.Partition info.Shard_map.sp_parent));
+  check_views_agree sys
+
 let test_elastic_validation () =
   let eng, sys = make_sys () in
   on_client ~eng sys (fun node ->
-      (match Elastic.split sys ~from:node ~shard:9 with
+      (match Migration.split sys ~from:node ~shard:9 with
       | Ok _ -> Alcotest.fail "out-of-range split accepted"
       | Error _ -> ());
-      (match Elastic.merge sys ~from:node ~left:1 with
+      (match Migration.merge sys ~from:node ~left:1 with
       | Ok _ -> Alcotest.fail "no adjacent pair at the last shard"
       | Error _ -> ());
       (* Exhaust the pool: with 4 groups, a third split must fail. *)
       let rec split_all () =
-        match Elastic.split sys ~from:node ~shard:0 with
+        match Migration.split sys ~from:node ~shard:0 with
         | Ok _ -> split_all ()
         | Error _ -> ()
       in
@@ -303,7 +529,7 @@ let test_elastic_validation () =
   let r = ref None in
   let node = System.new_client_node sys2 ~name:"t-client2" in
   Fabric.spawn_on node (fun () ->
-      r := Some (Elastic.split sys2 ~from:node ~shard:0));
+      r := Some (Migration.split sys2 ~from:node ~shard:0));
   Engine.run_until eng2 (Time_ns.s 1);
   match !r with
   | Some (Error _) -> ()
@@ -324,9 +550,12 @@ let suite =
         Qc.test split_merge_inverse_prop;
         Qc.test split_moves_only_carved_prop;
       ] );
+    ( "topology.views",
+      [ Qc.test views_agree_prop; Qc.test catalog_load_prop ] );
     ( "topology.live",
       [
         tc "split then merge on a live system" test_split_then_merge_live;
+        tc "override outlives a reshard" test_override_survives_reshard;
         tc "validation and pool exhaustion" test_elastic_validation;
       ] );
   ]

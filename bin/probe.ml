@@ -110,15 +110,16 @@ let run_calibration () =
   pr "wall time: %.1fs\n" (Unix.gettimeofday () -. t_start)
 
 (* [probe trace FILE]: run a small 2-partition x 3-replica KV workload
-   with a span ring attached to every replica and request-scoped
-   tracing attached to the deployment, and export both as Chrome
+   with request-scoped tracing attached to the deployment and export
+   the request trees, drawn also as per-replica lanes, as Chrome
    trace_event JSON (open at https://ui.perfetto.dev, or feed to
    [probe explain]). *)
 let run_trace file =
   let open Heron_sim in
   let open Heron_core in
+  let module Reqtrace = Heron_obs.Reqtrace in
   let eng = Engine.create ~seed:7 () in
-  let reqtrace = Heron_obs.Reqtrace.create () in
+  let reqtrace = Reqtrace.create () in
   let cfg =
     { (Config.default ~partitions:2 ~replicas:3) with
       Config.metrics = Heron_obs.Metrics.create ();
@@ -127,17 +128,6 @@ let run_trace file =
   let app = Heron_kv.Kv_app.app ~keys:8 ~partitions:2 ~init:0L in
   let sys = System.create eng ~cfg ~app in
   System.start sys;
-  let traces = ref [] in
-  Array.iteri
-    (fun part row ->
-      Array.iteri
-        (fun idx r ->
-          let tr = Trace.create () in
-          Replica.set_tracer r tr;
-          traces := (Printf.sprintf "replica p%d/r%d" part idx, tr) :: !traces)
-        row)
-    (System.replicas sys);
-  let traces = List.rev !traces in
   let client = System.new_client_node sys ~name:"trace-client" in
   Heron_rdma.Fabric.spawn_on client (fun () ->
       let rng = Random.State.make [| 0x7ACE |] in
@@ -149,13 +139,13 @@ let run_trace file =
         ignore (System.submit sys ~from:client req)
       done);
   Engine.run_until eng (Time_ns.ms 100);
-  let requests = Heron_obs.Reqtrace.export_trees reqtrace in
-  Heron_obs.Trace_export.write_file ~requests file traces;
-  let spans =
-    List.fold_left (fun acc (_, tr) -> acc + List.length (Trace.spans tr)) 0 traces
-  in
-  pr "trace written to %s (%d replicas, %d spans, %d request trees)\n" file
-    (List.length traces) spans (List.length requests)
+  let trees = Reqtrace.export_trees reqtrace in
+  Heron_obs.Trace_export.write_file file trees;
+  let lanes = Heron_obs.Trace_export.replica_lanes trees in
+  pr "trace written to %s (%d replicas, %d spans, %d request trees; %d late, %d dropped)\n"
+    file (List.length lanes)
+    (List.fold_left (fun acc (_, spans) -> acc + List.length spans) 0 lanes)
+    (List.length trees) (Reqtrace.late_spans reqtrace) (Reqtrace.dropped_spans reqtrace)
 
 (* [probe explain FILE [--top K]]: re-read the request trees embedded
    in a Perfetto dump written by [probe trace] or [bench --trace] and

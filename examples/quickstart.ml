@@ -2,7 +2,8 @@
 
    Builds a two-partition deployment of the bundled key-value
    application, submits a few requests from a client, and prints the
-   responses together with the virtual time they took.
+   responses together with the virtual time they took, then where that
+   time went.
 
      dune exec examples/quickstart.exe *)
 
@@ -16,8 +17,10 @@ let () =
   let eng = Engine.create ~seed:42 () in
 
   (* 2. A Heron deployment: 2 partitions x 3 replicas, running the KV
-     application with 8 integer registers spread over the partitions. *)
-  let cfg = Config.default ~partitions:2 ~replicas:3 in
+     application with 8 integer registers spread over the partitions.
+     A request-trace collector records each request's spans. *)
+  let reqtrace = Heron_obs.Reqtrace.create () in
+  let cfg = { (Config.default ~partitions:2 ~replicas:3) with Config.reqtrace = Some reqtrace } in
   let app = Kv_app.app ~keys:8 ~partitions:2 ~init:0L in
   let sys = System.create eng ~cfg ~app in
   System.start sys;
@@ -48,13 +51,13 @@ let () =
       ignore (time_of "Incr_all [key0; key1]" (Kv_app.Incr_all [ 0; 1 ]));
       ignore (time_of "Read_all [key0; key1]" (Kv_app.Read_all [ 0; 1 ])));
 
-  (* 4. Attach a tracer to one replica to see where a request's time
-     goes (ordering, coordination phases, execution). *)
-  let tracer = Trace.create () in
-  Replica.set_tracer (System.replica sys ~part:0 ~idx:0) tracer;
-
-  (* 5. Run the virtual clock. *)
+  (* 4. Run the virtual clock. *)
   Engine.run_until eng (Time_ns.ms 10);
   Format.printf "virtual time elapsed: %a@." Time_ns.pp (Engine.now eng);
-  Format.printf "@.timeline of the last requests at replica p0/r0:@.%s"
-    (Trace.render_timeline tracer)
+
+  (* 5. Where each request's time went: its critical path through
+     ordering, coordination phases and execution. *)
+  Format.printf "@.critical paths of the requests:@.";
+  List.iter
+    (fun tree -> Format.printf "%s@." (Heron_obs.Reqtrace.render_tree tree))
+    (Heron_obs.Reqtrace.export_trees reqtrace)

@@ -152,6 +152,9 @@ type ('req, 'resp) t = {
   r_app : ('req, 'resp) App.t;
   r_part : int;
   r_idx : int;
+  r_span_attrs : (string * string) list;
+      (* [part] and [idx] of every request span, built once: traced runs
+         retain these spans, after-reply ones included *)
   r_node : Fabric.node;
   r_store : Versioned_store.t;
   r_coord : Coord_mem.t;
@@ -191,7 +194,6 @@ type ('req, 'resp) t = {
          leases granted before its adoption point *)
   mutable r_recovering : int;  (* state transfers currently in flight *)
   mutable r_exec_delay : Time_ns.t;  (* failure injection: extra exec cost *)
-  mutable r_tracer : Trace.t option;
   mutable r_coord_mb : coord_job Mailbox.t option;
       (* when set, [announce] hands fan-outs to the coordination-writer
          fiber instead of posting inline (pipeline mode) *)
@@ -229,6 +231,7 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_app = app;
     r_part = part;
     r_idx = idx;
+    r_span_attrs = [ ("part", string_of_int part); ("idx", string_of_int idx) ];
     r_node = node;
     r_store = store;
     r_coord = coord;
@@ -251,7 +254,6 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_pending_lease = None;
     r_recovering = 0;
     r_exec_delay = 0;
-    r_tracer = None;
     r_coord_mb = None;
     r_announced = Tstamp.zero;
     r_coord_since = -1;
@@ -288,7 +290,6 @@ let lease_table r = r.r_lease
 let set_compactor r f = r.r_compact <- Some f
 let checkpoint_frontier r = Option.map (fun ck -> ck.ck_frontier) r.r_ckpt
 let inject_exec_delay r d = r.r_exec_delay <- d
-let set_tracer r tr = r.r_tracer <- Some tr
 let placement_view r = r.r_view
 
 (* Effective placement: the replica's epoch-versioned overrides layered
@@ -363,14 +364,6 @@ let check_invariants ?(quiescent = true) r =
       (Versioned_store.registered_oids r.r_store);
     match !bad with None -> Result.Ok () | Some msg -> Error msg
 
-let trace r ~name ~tmp ~start stop =
-  match r.r_tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.record tr ~name
-        ~attrs:[ ("tmp", Format.asprintf "%a" Tstamp.pp tmp) ]
-        ~start stop
-
 (* Request-scoped causal span (DESIGN.md §11): recorded against the
    trace the client minted at submit, parented to its root span —
    containment nesting sorts overlapping stages out at analysis time,
@@ -383,10 +376,7 @@ let req_span r req ~stage ~start stop =
     | Some col ->
         ignore
           (Heron_obs.Reqtrace.add_span col ~trace:req.rq_trace
-             ~parent:req.rq_parent ~stage
-             ~attrs:
-               [ ("part", string_of_int r.r_part); ("idx", string_of_int r.r_idx) ]
-             ~start stop)
+             ~parent:req.rq_parent ~stage ~attrs:r.r_span_attrs ~start stop)
 
 let qp_to r dst_node =
   let key = Fabric.node_id dst_node in
@@ -715,7 +705,6 @@ let sync_fanout r ~slot_idx tmp ~status =
    horizon misses any object last written before it, which an empty
    store silently keeps at its catalog value. *)
 let rec initiate_state_transfer_locked r ~failed_tmp ~cover =
-  let transfer_start = Engine.now r.r_eng in
   r.r_stats.st_laggers <- r.r_stats.st_laggers + 1;
   Heron_obs.Metrics.incr r.r_obs.ob_laggers;
   sync_fanout r ~slot_idx:r.r_idx failed_tmp ~status:1;
@@ -772,8 +761,6 @@ let rec initiate_state_transfer_locked r ~failed_tmp ~cover =
   publish_applied r;
   (* The donor had not reached the failed request yet: its state cannot
      cover it, so ask again (it keeps executing meanwhile). *)
-  trace r ~name:"state-transfer" ~tmp:failed_tmp ~start:transfer_start
-    (Engine.now r.r_eng);
   if Tstamp.(rid < cover) then begin
     Engine.sleep r.r_cfg.Config.statesync_timeout_ns;
     initiate_state_transfer_locked r ~failed_tmp ~cover
@@ -1431,7 +1418,6 @@ let exec_single r req ~tmp ~on_applied =
   match execute r req ~tmp with
   | resp ->
       on_applied ();
-      trace r ~name:"execute" ~tmp ~start:t0 (Engine.now r.r_eng);
       req_span r req ~stage:"execute" ~start:t0 (Engine.now r.r_eng);
       Heron_stats.Sample_set.add r.r_stats.st_exec (Engine.now r.r_eng - t0);
       r.r_stats.st_executed <- r.r_stats.st_executed + 1;
@@ -1449,17 +1435,14 @@ let exec_multi r req ~tmp ~dst ~on_applied =
   let t0 = Engine.now r.r_eng in
   coordinate r ~tmp ~dst ~stage:1 ~wait:Config.Majority;
   let t1 = Engine.now r.r_eng in
-  trace r ~name:"phase2" ~tmp ~start:t0 t1;
   req_span r req ~stage:"phase2" ~start:t0 t1;
   match execute r req ~tmp with
   | resp ->
       on_applied ();
       let t2 = Engine.now r.r_eng in
-      trace r ~name:"execute" ~tmp ~start:t1 t2;
       req_span r req ~stage:"execute" ~start:t1 t2;
       coordinate r ~tmp ~dst ~stage:2 ~wait:r.r_cfg.Config.wait_phase4;
       let t3 = Engine.now r.r_eng in
-      trace r ~name:"phase4" ~tmp ~start:t2 t3;
       req_span r req ~stage:"phase4" ~start:t2 t3;
       Heron_stats.Sample_set.add r.r_stats.st_coord (t1 - t0 + (t3 - t2));
       Heron_stats.Sample_set.add r.r_stats.st_exec (t2 - t1);
@@ -1576,9 +1559,6 @@ let exec_migration r mg ~tmp ~dst ~on_applied =
   on_applied ();
   Heron_obs.Metrics.incr r.r_obs.ob_migrations_applied;
   coordinate r ~tmp ~dst ~stage:2 ~wait:r.r_cfg.Config.wait_phase4;
-  trace r
-    ~name:(if mg.mg_shards = None then "migrate" else "reshard")
-    ~tmp ~start:t0 (Engine.now r.r_eng);
   notify_migration_done r mg ~tmp
 
 (* A request whose destination set was computed under an older placement
@@ -1774,7 +1754,6 @@ let delivery_loop r =
   in
   let sequence_req tmp dst req =
     if fresh tmp then begin
-      trace r ~name:"ordering" ~tmp ~start:req.rq_submitted (Engine.now r.r_eng);
       req_span r req ~stage:"ordering" ~start:req.rq_submitted (Engine.now r.r_eng);
       Heron_stats.Sample_set.add r.r_stats.st_ordering
         (Engine.now r.r_eng - req.rq_submitted);

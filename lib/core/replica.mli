@@ -237,8 +237,3 @@ val try_serve_read : ('req, 'resp) t -> 'req -> 'resp option
 
 val lease_table : ('req, 'resp) t -> Read_lease.t
 (** The replica's lease table and frontier-copy region (tests). *)
-
-val set_tracer : ('req, 'resp) t -> Trace.t -> unit
-(** Attach a span tracer: the replica records per-request spans
-    ([ordering], [phase2], [execute], [phase4], [state-transfer]) with
-    the request timestamp as an attribute. *)

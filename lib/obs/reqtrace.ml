@@ -10,7 +10,12 @@ type span = {
   rs_attrs : (string * string) list;
 }
 
-type tree = { tr_trace : int; tr_root : span; tr_spans : span list }
+type tree = {
+  tr_trace : int;
+  tr_root : span;
+  tr_spans : span list;
+  mutable tr_after : span list;
+}
 
 let duration tree = tree.tr_root.rs_end - tree.tr_root.rs_start
 
@@ -188,7 +193,8 @@ let trees_of_spans spans =
       match
         List.sort (fun a b -> compare (a.rs_start, a.rs_id) (b.rs_start, b.rs_id)) roots
       with
-      | root :: _ -> { tr_trace = trace; tr_root = root; tr_spans = spans } :: acc
+      | root :: _ ->
+          { tr_trace = trace; tr_root = root; tr_spans = spans; tr_after = [] } :: acc
       | [] -> acc)
     by_trace []
   |> List.sort (fun a b ->
@@ -254,6 +260,7 @@ type t = {
   mutable slowest : tree list;  (* slowest first, length <= k_exemplars *)
   max_spans : int;
   inflight : (int, pending) Hashtbl.t;
+  retained : (int, tree) Hashtbl.t;  (* finished trees in ring or exemplars *)
   mutable next_id : int;
   mutable n_late : int;
   mutable n_dropped : int;
@@ -272,6 +279,7 @@ let create ?(ring = 512) ?(exemplars = 8) ?(max_spans = 256) () =
     slowest = [];
     max_spans;
     inflight = Hashtbl.create 64;
+    retained = Hashtbl.create 64;
     next_id = 1;
     n_late = 0;
     n_dropped = 0;
@@ -314,35 +322,53 @@ let note_late t =
   t.n_late <- t.n_late + 1;
   Option.iter (fun m -> Metrics.incr m.m_late) t.metrics
 
+let note_dropped t =
+  t.n_dropped <- t.n_dropped + 1;
+  Option.iter (fun m -> Metrics.incr m.m_dropped) t.metrics
+
 let add_span t ~trace ~parent ~stage ?(attrs = []) ~start stop =
   if stop < start then invalid_arg "Reqtrace.add_span: span ends before it starts";
+  let mk id =
+    {
+      rs_trace = trace;
+      rs_id = id;
+      rs_parent = parent;
+      rs_stage = stage;
+      rs_start = start;
+      rs_end = stop;
+      rs_attrs = attrs;
+    }
+  in
   match Hashtbl.find_opt t.inflight trace with
   | None ->
       note_late t;
+      (* After-reply: kept with the retained tree, outside it, and with
+         no id, so later trace and span ids are the same as if it had
+         been dropped. *)
+      (match Hashtbl.find_opt t.retained trace with
+      | None -> ()
+      | Some tr ->
+          if List.length tr.tr_spans + List.length tr.tr_after >= t.max_spans then
+            note_dropped t
+          else tr.tr_after <- mk 0 :: tr.tr_after);
       0
   | Some p ->
       if p.p_nspans >= t.max_spans then begin
-        t.n_dropped <- t.n_dropped + 1;
-        Option.iter (fun m -> Metrics.incr m.m_dropped) t.metrics;
+        note_dropped t;
         0
       end
       else begin
         let id = fresh_id t in
-        p.p_spans <-
-          {
-            rs_trace = trace;
-            rs_id = id;
-            rs_parent = parent;
-            rs_stage = stage;
-            rs_start = start;
-            rs_end = stop;
-            rs_attrs = attrs;
-          }
-          :: p.p_spans;
+        p.p_spans <- mk id :: p.p_spans;
         p.p_nspans <- p.p_nspans + 1;
         id
       end
 
+let in_ring t tree =
+  Array.exists (function Some x -> x == tree | None -> false) t.ring
+
+(* A tree leaves [retained] once neither the ring nor the exemplars
+   hold it. *)
 let insert_exemplar t tree =
   if t.k_exemplars > 0 then begin
     let d = duration tree in
@@ -352,9 +378,12 @@ let insert_exemplar t tree =
           if d > duration x then tree :: x :: rest else x :: ins rest
     in
     let l = ins t.slowest in
-    t.slowest <-
-      (if List.length l > t.k_exemplars then List.filteri (fun i _ -> i < t.k_exemplars) l
-       else l)
+    if List.length l > t.k_exemplars then begin
+      t.slowest <- List.filteri (fun i _ -> i < t.k_exemplars) l;
+      let out = List.nth l t.k_exemplars in
+      if out != tree && not (in_ring t out) then Hashtbl.remove t.retained out.tr_trace
+    end
+    else t.slowest <- l
   end
 
 let finish t ~trace ~now =
@@ -373,7 +402,13 @@ let finish t ~trace ~now =
           rs_attrs = p.p_attrs;
         }
       in
-      let tree = { tr_trace = trace; tr_root = root; tr_spans = root :: List.rev p.p_spans } in
+      let tree =
+        { tr_trace = trace; tr_root = root; tr_spans = root :: List.rev p.p_spans; tr_after = [] }
+      in
+      (match t.ring.(t.ring_next) with
+      | Some old when not (List.memq old t.slowest) -> Hashtbl.remove t.retained old.tr_trace
+      | Some _ | None -> ());
+      Hashtbl.replace t.retained trace tree;
       t.ring.(t.ring_next) <- Some tree;
       t.ring_next <- (t.ring_next + 1) mod Array.length t.ring;
       t.n_finished <- t.n_finished + 1;

@@ -1,16 +1,23 @@
 (** Request-scoped causal tracing: one span tree per request, a
     critical-path extractor over it, and stage-latency attribution.
 
-    {!Heron_sim.Trace} answers "what did this {e replica} spend time
-    on"; this module answers "why was this {e request} slow". A trace is
-    minted at client submit and its id travels inside the request
-    through the multicast, coordination, admission and execution layers;
-    every component emits parent-linked spans against it. When the
-    client observes the reply the tree is {e finished}: the critical
-    path is extracted, per-stage latency lands in the registry
-    ([req.stage_ns{stage=...}], [req.e2e_ns]), the tree joins a bounded
-    ring of recent requests, and a top-K sampler keeps the slowest
-    requests as exemplars.
+    This is the only span recorder: it answers both "why was this
+    {e request} slow" (the trees) and "what did this {e replica} spend
+    time on" (the replica lanes {!Trace_export} draws from the spans'
+    [part] and [idx] attributes). A trace is minted at client submit and
+    its id travels inside the request through the multicast,
+    coordination, admission and execution layers; every component emits
+    parent-linked spans against it. When the client observes the reply
+    the tree is {e finished}: the critical path is extracted, per-stage
+    latency lands in the registry ([req.stage_ns{stage=...}],
+    [req.e2e_ns]), the tree joins a bounded ring of recent requests, and
+    a top-K sampler keeps the slowest requests as exemplars.
+
+    Replicas that finish a request after the client took its reply — the
+    replica skew behind delayed transactions — still report their
+    spans. While the finished tree is retained, such a span is kept
+    with it as an {e after-reply} span: shown in its replica's lane,
+    never part of the tree, its critical path or the stage histograms.
 
     The collector is single-writer by construction (one simulation
     thread) and records no virtual time: attaching it never changes
@@ -28,7 +35,8 @@ open Heron_sim
 
 type span = {
   rs_trace : int;  (** owning trace id *)
-  rs_id : int;  (** unique within the collector; > 0 *)
+  rs_id : int;  (** unique within the collector; > 0, except [0] for
+                    after-reply spans, which draw no id *)
   rs_parent : int;  (** parent span id; 0 marks the root *)
   rs_stage : string;
   rs_start : Time_ns.t;
@@ -40,6 +48,9 @@ type tree = {
   tr_trace : int;
   tr_root : span;
   tr_spans : span list;  (** every span of the trace, root included *)
+  mutable tr_after : span list;
+      (** after-reply spans, newest first: recorded after {!finish}
+          while the tree was retained; never in [tr_spans] *)
 }
 
 val duration : tree -> Time_ns.t
@@ -52,8 +63,8 @@ type t
 val create : ?ring:int -> ?exemplars:int -> ?max_spans:int -> unit -> t
 (** A collector retaining the most recent [ring] (default 512) finished
     trees, the [exemplars] (default 8) slowest ones, and at most
-    [max_spans] (default 256) spans per trace (excess spans are counted
-    and dropped, never unbounded). *)
+    [max_spans] (default 256) spans per trace, after-reply spans
+    included (excess spans are counted and dropped, never unbounded). *)
 
 val attach_metrics : t -> Metrics.t -> unit
 (** Publish per-stage critical-path attributions as
@@ -77,11 +88,13 @@ val add_span :
   Time_ns.t ->
   int
 (** [add_span t ~trace ~parent ~stage ~start stop] records a completed
-    span and returns its id (a parent for finer sub-spans). Returns [0]
-    without recording when the trace is unknown or already finished
-    (a {e late} span — e.g. a state transfer outliving the request that
-    triggered it) or when the trace is at its span cap. Raises
-    [Invalid_argument] if [stop < start]. *)
+    span and returns its id (a parent for finer sub-spans). A {e late}
+    span — its trace already finished, e.g. a replica executing after
+    the client took another replica's reply — returns [0]; it is kept
+    as an after-reply span of the finished tree while that tree is
+    retained (ring or exemplars), and dropped when the trace is unknown
+    or evicted. A span beyond the trace's cap returns [0] and is
+    dropped. Raises [Invalid_argument] if [stop < start]. *)
 
 val finish : t -> trace:int -> now:Time_ns.t -> unit
 (** Close the root span at [now] (the client-side reply instant),
@@ -106,10 +119,11 @@ val finished : t -> int
 (** Total trees finished (the ring keeps only the most recent). *)
 
 val late_spans : t -> int
-(** Spans that arrived for finished or unknown traces. *)
+(** Spans that arrived for finished or unknown traces, kept after-reply
+    or not. *)
 
 val dropped_spans : t -> int
-(** Spans refused by the per-trace cap. *)
+(** Spans refused by the per-trace cap (after-reply spans included). *)
 
 (** {1 Critical-path analysis}
 
@@ -149,8 +163,8 @@ val breakdown : seg list -> (string * int) list
 
 val trees_of_spans : span list -> tree list
 (** Regroup a flat span list (e.g. re-read from a Perfetto dump) into
-    trees by trace id, slowest first. Traces with no root span are
-    dropped. *)
+    trees by trace id, slowest first, with no after-reply spans. Traces
+    with no root span are dropped. *)
 
 val render_tree : tree -> string
 (** Human-readable critical path: one header line (trace id, end-to-end

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repository health check: build, tests, and the observability edges
-# (metrics dump + Perfetto trace must be valid JSON).
+# Repository health check: build, tests, the examples, and the
+# observability edges (metrics dump + Perfetto trace must be valid JSON).
 #
 #   ./scripts/check.sh
 #   ARTIFACTS=artifacts ./scripts/check.sh   # keep the JSON outputs
@@ -25,6 +25,13 @@ dune build
 
 echo "== dune runtest =="
 dune runtest
+
+echo "== examples =="
+# Every example runs to completion; recovery_demo exits 1 if the
+# replicas diverge.
+for ex in quickstart bank tpcc_demo recovery_demo config_service; do
+  dune exec "examples/$ex.exe" > /dev/null
+done
 
 root=$(pwd)
 if [ -n "${ARTIFACTS:-}" ]; then

@@ -35,3 +35,11 @@ let test t =
       with e ->
         Printf.printf "replay: %s\n%!" (replay_command seed);
         raise e )
+
+(* [QCheck.int_range lo hi] shrinks towards 0, so a property over
+   [int_range 1 4] can report 0 as its counterexample. This one draws
+   the same values and shrinks towards [lo] without leaving [lo, hi]. *)
+let int_range lo hi =
+  QCheck.make ~print:string_of_int
+    ~shrink:(fun x yield -> QCheck.Shrink.int (x - lo) (fun d -> yield (lo + d)))
+    (QCheck.Gen.int_range lo hi)

@@ -232,8 +232,8 @@ let store_interleaving_prop =
     QCheck.(
       triple
         (oneofl [ `Registered; `Local; `Inserted ])
-        (int_range 0 10)
-        (list_of_size Gen.(int_range 1 30) (pair (int_range 1 12) (int_bound 99))))
+        (Qc.int_range 0 10)
+        (list_of_size Gen.(int_range 1 30) (pair (Qc.int_range 1 12) (int_bound 99))))
     (fun (origin, t0, writes) ->
       let _, st = make_store () in
       let t0 = if origin = `Inserted then tmp t0 else Tstamp.zero in
@@ -498,7 +498,7 @@ let log_truncate_model_prop =
     QCheck.(
       list_of_size
         Gen.(int_range 1 40)
-        (triple (int_range 0 2) (int_range 1 30) (int_bound 9)))
+        (triple (Qc.int_range 0 2) (Qc.int_range 1 30) (int_bound 9)))
     (fun ops ->
       let log = Update_log.create ~capacity:1000 in
       let frontier = ref 0 in
@@ -538,8 +538,8 @@ let log_range_model_prop =
     ~count:300
     QCheck.(
       pair
-        (list_of_size Gen.(int_range 1 40) (pair (int_range 1 20) (int_bound 9)))
-        (pair (int_range 1 20) (int_range 1 20)))
+        (list_of_size Gen.(int_range 1 40) (pair (Qc.int_range 1 20) (int_bound 9)))
+        (pair (Qc.int_range 1 20) (Qc.int_range 1 20)))
     (fun (entries, (a, b)) ->
       let from = min a b and upto = max a b in
       let log = Update_log.create ~capacity:1000 in
@@ -568,9 +568,9 @@ let log_gap_migration_prop =
   QCheck.Test.make ~name:"note_gap composes with a migration-shipped prefix"
     ~count:300
     QCheck.(
-      triple (int_range 1 15)
-        (list_of_size Gen.(int_range 0 20) (pair (int_range 1 15) (int_bound 9)))
-        (list_of_size Gen.(int_range 1 20) (pair (int_range 16 30) (int_bound 9))))
+      triple (Qc.int_range 1 15)
+        (list_of_size Gen.(int_range 0 20) (pair (Qc.int_range 1 15) (int_bound 9)))
+        (list_of_size Gen.(int_range 1 20) (pair (Qc.int_range 16 30) (int_bound 9))))
     (fun (cut, pre, post) ->
       let log = Update_log.create ~capacity:1000 in
       List.iter (fun (t, oid) -> Update_log.append log (tmp t) oid) pre;
@@ -1222,16 +1222,27 @@ let debt_app ~on_start =
         ]);
   }
 
+(* The spans replica [part]/[idx] recorded, tree and after-reply, in
+   start order. *)
+module Reqtrace = Heron_obs.Reqtrace
+
+let replica_spans col ~part ~idx =
+  Heron_obs.Trace_export.replica_lanes (Reqtrace.export_trees col)
+  |> List.assoc_opt (part, idx)
+  |> Option.value ~default:[]
+  |> List.stable_sort (fun a b -> compare a.Reqtrace.rs_start b.Reqtrace.rs_start)
+
 let debt_cfg =
   let cfg = Config.default ~partitions:1 ~replicas:1 in
   { cfg with Config.costs = { cfg.Config.costs with Config.hiccup_pct = 0 } }
 
 (* Run [req] once; return the replica, the instant the app callback
-   started and the replica's trace. [probes] are [(delay from the
+   started and the spans the replica recorded. [probes] are [(delay from the
    callback's start, check)] pairs, run as events at those instants. *)
 let run_debt_app req ~probes =
   let eng = Engine.create () in
-  let cfg = debt_cfg in
+  let col = Reqtrace.create () in
+  let cfg = { debt_cfg with Config.reqtrace = Some col } in
   let started = ref None in
   let sys = ref None in
   let on_start at =
@@ -1245,13 +1256,11 @@ let run_debt_app req ~probes =
   let st = Replica.store r in
   Versioned_store.set st debt_poisoned (b "future-a") ~tmp:(Tstamp.make ~clock:1_000_000 ~uid:1);
   Versioned_store.set st debt_poisoned (b "future-b") ~tmp:(Tstamp.make ~clock:1_000_000 ~uid:2);
-  let tr = Trace.create () in
-  Replica.set_tracer r tr;
   System.start s;
   let node = System.new_client_node s ~name:"c" in
   Fabric.spawn_on node (fun () -> ignore (System.submit s ~from:node req));
   Engine.run_until eng (Time_ns.ms 2);
-  (r, Option.get !started, tr)
+  (r, Option.get !started, replica_spans col ~part:0 ~idx:0)
 
 let test_execution_debt () =
   (* The cell as a one-sided read completing now returns it. *)
@@ -1275,7 +1284,7 @@ let test_execution_debt () =
     1_000 + (8 * costs.Config.deser_per_byte_x100 / 100)
     + (8 * costs.Config.ser_per_byte_x100 / 100)
   in
-  let r, started, tr =
+  let r, started, spans =
     run_debt_app `Write
       ~probes:[ (due - 1, probe "before"); (due + 1, probe "after") ]
   in
@@ -1283,12 +1292,12 @@ let test_execution_debt () =
     "peer reads around the write" [ ("before", "oldvalue"); ("after", "OLDVALUE") ]
     (List.rev !seen);
   check_str "store holds the write" "OLDVALUE" (newest r);
-  (match List.filter (fun s -> s.Trace.sp_name = "execute") (Trace.spans tr) with
+  (match List.filter (fun s -> s.Reqtrace.rs_stage = "execute") spans with
   | [ s ] ->
-      check_int "execution ends at the write" (started + due) s.Trace.sp_end;
+      check_int "execution ends at the write" (started + due) s.Reqtrace.rs_end;
       check_int "execution lasts base cost plus every charge"
         (costs.Config.exec_base_ns + due)
-        (s.Trace.sp_end - s.Trace.sp_start)
+        (s.Reqtrace.rs_end - s.Reqtrace.rs_start)
   | spans -> Alcotest.failf "expected one execute span, got %d" (List.length spans));
   (* [`Lag] raises Lagging after 400 + 600 ns of charges: the replica
      enters recovery only once they are paid. *)
@@ -1303,19 +1312,21 @@ let test_execution_debt () =
     (List.rev !recovering)
 
 let test_kv_trace_spans () =
-  let w = make_kv ~partitions:2 () in
-  let tr = Trace.create () in
-  Replica.set_tracer (System.replica w.sys ~part:0 ~idx:0) tr;
+  let col = Reqtrace.create () in
+  let w = make_kv ~partitions:2 ~tweak:(fun c -> { c with Config.reqtrace = Some col }) () in
   on_client w "c0" (fun node ->
       ignore (System.submit w.sys ~from:node (Kv_app.Put (0, 1L)));
       ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1 ])));
   Engine.run_until w.eng (Time_ns.ms 20);
-  let names = List.map (fun s -> s.Trace.sp_name) (Trace.spans tr) in
+  let names = List.map (fun s -> s.Reqtrace.rs_stage) (replica_spans col ~part:0 ~idx:0) in
   Alcotest.(check (list string))
     "request timelines recorded"
     [ "ordering"; "execute"; "ordering"; "phase2"; "execute"; "phase4" ]
     names;
-  check_bool "timeline renders" true (String.length (Trace.render_timeline tr) > 0)
+  check_bool "trees render" true
+    (List.for_all
+       (fun tree -> String.length (Reqtrace.render_tree tree) > 0)
+       (Reqtrace.export_trees col))
 
 let test_kv_stats_recorded () =
   let w = make_kv ~partitions:2 () in
@@ -1791,7 +1802,7 @@ let pipeline_flush_timeout_prop =
   QCheck.Test.make
     ~name:"batcher flushes every request within flush_timeout at low load"
     ~count:6
-    QCheck.(int_range 2_000 40_000)
+    (Qc.int_range 2_000 40_000)
     (fun timeout_ns ->
       (* One closed-loop client can never fill a size-8 batch, so every
          flush is timeout-driven: the recorded batch wait (enqueue to

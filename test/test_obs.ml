@@ -1,8 +1,6 @@
-(* Tests for heron_obs: metric registry, JSON, Perfetto export — plus
-   the Trace ring buffer they render. *)
+(* Tests for heron_obs: metric registry, JSON, Perfetto export. *)
 
 open Heron_obs
-open Heron_sim
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -199,58 +197,61 @@ let test_metrics_json_export () =
   check_bool "counter present" true (List.mem "c" names);
   check_bool "histogram present" true (List.mem "h_ns" names)
 
-(* {1 Trace ring buffer} *)
-
-let test_trace_wraparound () =
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Trace.record tr ~name:(Printf.sprintf "s%d" i) ~start:(i * 10) ((i * 10) + 5)
-  done;
-  let names = List.map (fun s -> s.Trace.sp_name) (Trace.spans tr) in
-  Alcotest.(check (list string)) "last 4 kept, oldest first"
-    [ "s3"; "s4"; "s5"; "s6" ] names;
-  check_int "dropped" 2 (Trace.dropped tr);
-  let tl = Trace.render_timeline tr in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "timeline reports drop" true (contains tl "2 earlier spans dropped")
-
 (* {1 Perfetto export} *)
 
-let golden_traces () =
-  let t1 = Trace.create () in
-  Trace.record t1 ~name:"ordering" ~start:0 2_000;
-  Trace.record t1 ~name:"execute" ~attrs:[ ("tmp", "1.1") ] ~start:2_000 2_500;
-  let t2 = Trace.create () in
-  Trace.record t2 ~name:"ordering" ~start:500 2_200;
-  [ ("replica p0/r0", t1); ("replica p0/r1", t2) ]
+(* One request: p0/r0 orders and executes it before the reply, the
+   multicast commits it (no replica attributes: requests process only),
+   and p0/r1 finishes ordering after the reply (an after-reply span). *)
+let golden_trees () =
+  let col = Reqtrace.create () in
+  let trace, root = Reqtrace.start_trace col ~attrs:[ ("client", "c") ] ~now:0 () in
+  let at_replica idx = [ ("part", "0"); ("idx", string_of_int idx) ] in
+  ignore
+    (Reqtrace.add_span col ~trace ~parent:root ~stage:"ordering" ~attrs:(at_replica 0)
+       ~start:0 2_000);
+  ignore
+    (Reqtrace.add_span col ~trace ~parent:root ~stage:"mcast.commit"
+       ~attrs:[ ("gid", "0") ] ~start:100 1_500);
+  ignore
+    (Reqtrace.add_span col ~trace ~parent:root ~stage:"execute" ~attrs:(at_replica 0)
+       ~start:2_000 2_500);
+  Reqtrace.finish col ~trace ~now:3_000;
+  ignore
+    (Reqtrace.add_span col ~trace ~parent:root ~stage:"ordering" ~attrs:(at_replica 1)
+       ~start:500 3_200);
+  Reqtrace.export_trees col
+
+let perfetto_string trees = Json.to_string (Trace_export.perfetto trees)
 
 let golden =
   String.concat ""
     [
       {|{"traceEvents":[|};
-      {|{"name":"process_name","ph":"M","pid":1,"args":{"name":"replica p0/r0","dropped_spans":0}},|};
+      {|{"name":"process_name","ph":"M","pid":1,"args":{"name":"replica p0/r0"}},|};
       {|{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"ordering"}},|};
       {|{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"execute"}},|};
-      {|{"name":"ordering","ph":"X","pid":1,"tid":1,"ts":0.0,"dur":2.0,"args":{}},|};
-      {|{"name":"execute","ph":"X","pid":1,"tid":2,"ts":2.0,"dur":0.5,"args":{"tmp":"1.1"}},|};
-      {|{"name":"process_name","ph":"M","pid":2,"args":{"name":"replica p0/r1","dropped_spans":0}},|};
+      {|{"name":"ordering","ph":"X","pid":1,"tid":1,"ts":0.0,"dur":2.0,"args":{"trace":1,"part":"0","idx":"0"}},|};
+      {|{"name":"execute","ph":"X","pid":1,"tid":2,"ts":2.0,"dur":0.5,"args":{"trace":1,"part":"0","idx":"0"}},|};
+      {|{"name":"process_name","ph":"M","pid":2,"args":{"name":"replica p0/r1"}},|};
       {|{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"ordering"}},|};
-      {|{"name":"ordering","ph":"X","pid":2,"tid":1,"ts":0.5,"dur":1.7,"args":{}}|};
+      {|{"name":"ordering","ph":"X","pid":2,"tid":1,"ts":0.5,"dur":2.7,"args":{"trace":1,"after_reply":true,"part":"0","idx":"1"}},|};
+      {|{"name":"process_name","ph":"M","pid":1000,"args":{"name":"requests"}},|};
+      {|{"name":"thread_name","ph":"M","pid":1000,"tid":1,"args":{"name":"req 1"}},|};
+      {|{"name":"request","ph":"X","pid":1000,"tid":1,"ts":0.0,"dur":3.0,"args":{"trace":1,"span":2,"parent":0,"start_ns":0,"end_ns":3000,"client":"c"}},|};
+      {|{"name":"ordering","ph":"X","pid":1000,"tid":1,"ts":0.0,"dur":2.0,"args":{"trace":1,"span":3,"parent":2,"start_ns":0,"end_ns":2000,"part":"0","idx":"0"}},|};
+      {|{"name":"mcast.commit","ph":"X","pid":1000,"tid":1,"ts":0.1,"dur":1.4,"args":{"trace":1,"span":4,"parent":2,"start_ns":100,"end_ns":1500,"gid":"0"}},|};
+      {|{"name":"execute","ph":"X","pid":1000,"tid":1,"ts":2.0,"dur":0.5,"args":{"trace":1,"span":5,"parent":2,"start_ns":2000,"end_ns":2500,"part":"0","idx":"0"}}|};
       {|],"displayTimeUnit":"ns"}|};
     ]
 
 let test_perfetto_golden () =
-  check_string "golden document" golden (Trace_export.perfetto_string (golden_traces ()))
+  check_string "golden document" golden (perfetto_string (golden_trees ()))
 
 let test_perfetto_structure () =
   (* The export is valid JSON with correctly nested spans: every X
      event's (pid, tid) pair was declared by metadata, and spans from
-     both replicas are present. *)
-  let s = Trace_export.perfetto_string (golden_traces ()) in
+     both replicas and the requests process are present. *)
+  let s = perfetto_string (golden_trees ()) in
   let doc = Json.parse_exn s in
   let events =
     match Json.member "traceEvents" doc with
@@ -283,7 +284,7 @@ let test_perfetto_structure () =
           | _ -> Alcotest.fail "bad dur")
       | _ -> Alcotest.fail "unknown phase")
     events;
-  check_bool "spans from >= 2 replicas" true (Hashtbl.length x_pids >= 2)
+  check_bool "spans from 2 replicas and the requests" true (Hashtbl.length x_pids = 3)
 
 let () =
   Alcotest.run "obs"
@@ -310,7 +311,6 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring wraparound" `Quick test_trace_wraparound;
           Alcotest.test_case "perfetto golden" `Quick test_perfetto_golden;
           Alcotest.test_case "perfetto structure" `Quick test_perfetto_structure;
         ] );

@@ -1,7 +1,8 @@
 (* Request-scoped causal tracing (DESIGN.md §11): critical-path
    extraction over handcrafted span DAGs, the exact-attribution
-   property, the collector's ring/exemplar/metrics plumbing, and the
-   Perfetto dump roundtrip used by [probe explain]. *)
+   property, the collector's ring/exemplar/metrics plumbing and
+   after-reply spans, and the Perfetto dump: replica lanes plus the
+   request roundtrip used by [probe explain]. *)
 
 open Heron_obs
 open Heron_sim
@@ -219,7 +220,8 @@ let test_collector_ring_and_metrics () =
   | _ -> Alcotest.fail "expected two exemplars");
   check_bool "export keeps rotated exemplar" true
     (List.length (Reqtrace.export_trees col) = 3);
-  (* Late span: the trace is finished, so it is counted and refused. *)
+  (* Late span: the trace is finished, so it is counted and gets no id
+     (t1 is still an exemplar, so the span is kept after-reply). *)
   check_int "late span refused" 0
     (Reqtrace.add_span col ~trace:t1 ~parent:1 ~stage:"state-transfer" ~start:0
        10);
@@ -260,6 +262,54 @@ let test_collector_span_cap_and_discard () =
   check_int "discarded trace never finishes" 0 (Reqtrace.finished col);
   Reqtrace.finish col ~trace ~now:5;
   check_int "capped trace still finishes" 1 (Reqtrace.finished col)
+
+let test_after_reply_spans () =
+  let reg = Metrics.create () in
+  let col = Reqtrace.create ~ring:1 ~exemplars:0 () in
+  Reqtrace.attach_metrics col reg;
+  let at_replica idx = [ ("part", "0"); ("idx", string_of_int idx) ] in
+  let t1, root = Reqtrace.start_trace col ~now:0 () in
+  ignore
+    (Reqtrace.add_span col ~trace:t1 ~parent:root ~stage:"execute"
+       ~attrs:(at_replica 0) ~start:10 40);
+  Reqtrace.finish col ~trace:t1 ~now:50;
+  let tree = List.hd (Reqtrace.completed col) in
+  let rendered = Reqtrace.render_tree tree in
+  let stage_hist () = Metrics.find (Metrics.snapshot reg) ~labels:[ ("stage", "execute") ] "req.stage_ns" in
+  let hist_before = stage_hist () in
+  (* A slower replica executes after the reply: kept with the tree. *)
+  check_int "after-reply span gets no id" 0
+    (Reqtrace.add_span col ~trace:t1 ~parent:root ~stage:"execute"
+       ~attrs:(at_replica 1) ~start:10 70);
+  check_int "counted late" 1 (Reqtrace.late_spans col);
+  (match (List.hd (Reqtrace.completed col)).Reqtrace.tr_after with
+  | [ s ] ->
+      check_int "kept after-reply" 70 s.Reqtrace.rs_end;
+      check_int "after-reply id" 0 s.Reqtrace.rs_id
+  | l -> Alcotest.failf "expected one after-reply span, got %d" (List.length l));
+  check_int "tree spans unchanged" 2 (List.length tree.Reqtrace.tr_spans);
+  check_bool "rendering unchanged" true (Reqtrace.render_tree tree = rendered);
+  check_bool "stage histogram unchanged" true (stage_hist () = hist_before);
+  (* The next trace evicts t1 from the one-slot ring: a span for it is
+     counted and dropped. *)
+  let t2, _ = Reqtrace.start_trace col ~now:100 () in
+  (* Ids so far: trace 1, its root 2, its execute span 3. *)
+  check_int "ids not consumed by after-reply spans" 4 t2;
+  Reqtrace.finish col ~trace:t2 ~now:120;
+  check_int "evicted trace: no id" 0
+    (Reqtrace.add_span col ~trace:t1 ~parent:root ~stage:"execute"
+       ~attrs:(at_replica 2) ~start:10 80);
+  check_int "counted late" 2 (Reqtrace.late_spans col);
+  check_bool "evicted tree gains nothing" true (List.length tree.Reqtrace.tr_after = 1);
+  check_bool "ring tree gains nothing" true
+    (List.for_all (fun t -> t.Reqtrace.tr_after = []) (Reqtrace.completed col));
+  check_int "unknown trace: no id" 0
+    (Reqtrace.add_span col ~trace:999 ~parent:1 ~stage:"execute" ~start:0 1);
+  check_int "counted late" 3 (Reqtrace.late_spans col);
+  check_int "nothing dropped by the cap" 0 (Reqtrace.dropped_spans col);
+  match Metrics.find (Metrics.snapshot reg) "req.late_spans" with
+  | Some (Metrics.Counter_v n) -> check_int "late counter metric" 3 n
+  | _ -> Alcotest.fail "req.late_spans missing"
 
 (* {1 End-to-end: traced KV system} *)
 
@@ -384,7 +434,7 @@ let test_perfetto_roundtrip () =
   mk ();
   mk ();
   let trees = Reqtrace.export_trees col in
-  let doc = Trace_export.perfetto ~requests:trees [] in
+  let doc = Trace_export.perfetto trees in
   let spans = Trace_export.request_spans_of_json doc in
   check_int "all spans recovered" 6 (List.length spans);
   let rebuilt = Trace_export.request_spans_of_json doc |> Reqtrace.trees_of_spans in
@@ -426,6 +476,112 @@ let test_perfetto_roundtrip () =
     "root attrs preserved" (Some "c")
     (List.assoc_opt "client" root_back.Reqtrace.rs_attrs)
 
+(* Random collector runs: each trace gets spans at random replicas —
+   or with partial or no replica attributes — then finishes and takes
+   late spans, which become after-reply spans. Roots may carry replica
+   attributes too (as checkpoint traces do) and must stay out of the
+   lanes. *)
+let gen_run =
+  QCheck.Gen.(
+    let attrs =
+      frequency
+        [
+          ( 3,
+            map2
+              (fun p i -> [ ("part", string_of_int p); ("idx", string_of_int i) ])
+              (int_range 0 2) (int_range 0 2) );
+          (1, map (fun p -> [ ("part", string_of_int p) ]) (int_range 0 2));
+          (1, return [ ("gid", "0") ]);
+        ]
+    in
+    let span =
+      triple (int_range 0 (Array.length stages - 1)) (pair (int_range 0 500) (int_range 0 500)) attrs
+    in
+    list_size (int_range 1 6)
+      (triple attrs (list_size (int_range 0 6) span) (list_size (int_range 0 4) span)))
+
+let run_collector run =
+  let col = Reqtrace.create () in
+  List.iter
+    (fun (root_attrs, spans, late) ->
+      let trace, root = Reqtrace.start_trace col ~attrs:root_attrs ~now:0 () in
+      let add (st, (a, b), attrs) =
+        ignore
+          (Reqtrace.add_span col ~trace ~parent:root ~stage:stages.(st) ~attrs
+             ~start:(min a b) (max a b))
+      in
+      List.iter add spans;
+      Reqtrace.finish col ~trace ~now:1_000;
+      List.iter add late)
+    run;
+  Reqtrace.export_trees col
+
+let prop_lanes_and_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"replica lanes hold each span once; trees roundtrip"
+    (QCheck.make gen_run)
+    (fun run ->
+      let trees = run_collector run in
+      let doc = Trace_export.perfetto trees in
+      let events = Json.to_list_exn (Option.get (Json.member "traceEvents" doc)) in
+      let field k e = Option.get (Json.member k e) in
+      let process_names =
+        List.filter_map
+          (fun e ->
+            match (field "ph" e, field "name" e) with
+            | Json.String "M", Json.String "process_name" ->
+                Some (field "pid" e, field "name" (field "args" e))
+            | _ -> None)
+          events
+      in
+      let lane_events =
+        List.filter_map
+          (fun e ->
+            match (field "ph" e, field "pid" e) with
+            | Json.String "X", (Json.Int pid as p) when pid <> 1000 ->
+                let args = field "args" e in
+                Some
+                  ( List.assoc p process_names,
+                    field "name" e,
+                    (field "ts" e, field "dur" e),
+                    (field "trace" args, Json.member "after_reply" args <> None) )
+            | _ -> None)
+          events
+      in
+      let us ns = Json.Float (float_of_int ns /. 1_000.) in
+      let expected =
+        List.concat_map
+          (fun tree ->
+            let lane ~after s =
+              match
+                ( Option.bind (List.assoc_opt "part" s.Reqtrace.rs_attrs) int_of_string_opt,
+                  Option.bind (List.assoc_opt "idx" s.Reqtrace.rs_attrs) int_of_string_opt )
+              with
+              | Some p, Some i when s != tree.Reqtrace.tr_root ->
+                  [
+                    ( Json.String (Printf.sprintf "replica p%d/r%d" p i),
+                      Json.String s.Reqtrace.rs_stage,
+                      (us s.Reqtrace.rs_start, us (s.Reqtrace.rs_end - s.Reqtrace.rs_start)),
+                      (Json.Int s.Reqtrace.rs_trace, after) );
+                  ]
+              | _ -> []
+            in
+            List.concat_map (lane ~after:false) tree.Reqtrace.tr_spans
+            @ List.concat_map (lane ~after:true) tree.Reqtrace.tr_after)
+          trees
+      in
+      let norm trees =
+        List.sort compare
+          (List.map
+             (fun t ->
+               ( t.Reqtrace.tr_trace,
+                 List.sort compare t.Reqtrace.tr_spans,
+                 t.Reqtrace.tr_after = [] ))
+             trees)
+      in
+      let rebuilt = Reqtrace.trees_of_spans (Trace_export.request_spans_of_json doc) in
+      List.sort compare lane_events = List.sort compare expected
+      && norm rebuilt = norm (List.map (fun t -> { t with Reqtrace.tr_after = [] }) trees))
+
 let () =
   Alcotest.run "reqtrace"
     [
@@ -444,6 +600,7 @@ let () =
             test_collector_ring_and_metrics;
           Alcotest.test_case "span cap and discard" `Quick
             test_collector_span_cap_and_discard;
+          Alcotest.test_case "after-reply spans" `Quick test_after_reply_spans;
         ] );
       ( "system",
         [
@@ -452,5 +609,8 @@ let () =
             test_system_pipeline_stages;
         ] );
       ( "export",
-        [ Alcotest.test_case "perfetto roundtrip" `Quick test_perfetto_roundtrip ] );
+        [
+          Alcotest.test_case "perfetto roundtrip" `Quick test_perfetto_roundtrip;
+          Qc.test prop_lanes_and_roundtrip;
+        ] );
     ]

@@ -448,88 +448,30 @@ let test_signal_wait_until_already_true () =
   Engine.run eng;
   check_bool "no broadcast needed" true !ran
 
-(* {1 Trace} *)
+(* {1 Qc.int_range} *)
 
-let test_trace_basics () =
-  let tr = Trace.create ~capacity:3 () in
-  Trace.record tr ~name:"a" ~start:0 10;
-  Trace.record tr ~name:"b" ~attrs:[ ("k", "v") ] ~start:10 25;
-  Alcotest.(check (list string)) "names in order" [ "a"; "b" ]
-    (List.map (fun s -> s.Trace.sp_name) (Trace.spans tr));
-  check_int "no drops yet" 0 (Trace.dropped tr);
-  Trace.record tr ~name:"c" ~start:25 30;
-  Trace.record tr ~name:"d" ~start:30 35;
-  Alcotest.(check (list string)) "ring keeps newest" [ "b"; "c"; "d" ]
-    (List.map (fun s -> s.Trace.sp_name) (Trace.spans tr));
-  check_int "one dropped" 1 (Trace.dropped tr);
-  Trace.clear tr;
-  check_bool "cleared" true (Trace.spans tr = [])
+let test_qc_int_range_shrinks_in_range () =
+  List.iter
+    (fun (lo, hi) ->
+      let shrink = Option.get (Qc.int_range lo hi).QCheck.shrink in
+      for x = lo to hi do
+        shrink x (fun c ->
+            if c < lo || c > hi || c >= x then
+              Alcotest.failf "int_range %d %d shrinks %d to %d" lo hi x c)
+      done)
+    [ (1, 4); (0, 10); (16, 30); (-5, 5); (2_000, 2_300) ]
 
-let test_trace_validation () =
-  let tr = Trace.create () in
-  Alcotest.check_raises "backwards span"
-    (Invalid_argument "Trace.add: span ends before it starts") (fun () ->
-      Trace.record tr ~name:"x" ~start:10 5)
-
-let test_trace_render () =
-  let tr = Trace.create () in
-  Trace.record tr ~name:"ordering" ~start:0 (Time_ns.us 18);
-  Trace.record tr ~name:"execute" ~start:(Time_ns.us 18) (Time_ns.us 34);
-  let out = Trace.render_timeline ~width:40 tr in
-  let contains needle =
-    let nh = String.length out and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub out i nn = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "has first span" true (contains "ordering");
-  check_bool "has second span" true (contains "execute");
-  check_bool "has bars" true (contains "#");
-  Alcotest.(check string) "empty trace renders empty" ""
-    (Trace.render_timeline (Trace.create ()))
-
-let test_trace_render_deterministic_order () =
-  (* Spans recorded in different interleavings render identically: rows
-     are sorted by (start, end, name), not insertion order. *)
-  let fill names =
-    let tr = Trace.create () in
-    List.iter
-      (fun name -> Trace.record tr ~name ~start:(Time_ns.us 5) (Time_ns.us 9))
-      names;
-    Trace.record tr ~name:"later" ~start:(Time_ns.us 9) (Time_ns.us 12);
-    Trace.render_timeline ~width:30 tr
-  in
-  Alcotest.(check string) "equal starts sort by name"
-    (fill [ "alpha"; "beta"; "gamma" ])
-    (fill [ "gamma"; "alpha"; "beta" ]);
-  let first_line = List.hd (String.split_on_char '\n' (fill [ "beta"; "alpha"; "gamma" ])) in
-  check_bool "alphabetical first row" true
-    (String.length first_line >= 5 && String.sub first_line 0 5 = "alpha")
-
-let test_trace_render_zero_duration () =
-  (* An instantaneous span renders as a "+" tick — including at the far
-     right edge of the window, where the unclamped lead equals the bar
-     width. *)
-  let tr = Trace.create () in
-  Trace.record tr ~name:"work" ~start:0 (Time_ns.us 10);
-  Trace.record tr ~name:"tick" ~start:(Time_ns.us 10) (Time_ns.us 10);
-  let out = Trace.render_timeline ~width:20 tr in
-  let tick_line =
-    List.find (fun l -> String.length l >= 4 && String.sub l 0 4 = "tick")
-      (String.split_on_char '\n' out)
-  in
-  check_bool "tick visible at right edge" true (String.contains tick_line '+');
-  check_bool "tick has no bar chars" true (not (String.contains tick_line '#'));
-  (* All rows frame the same bar-area width despite the clamping. *)
-  let widths =
-    List.filter_map
-      (fun l ->
-        match (String.index_opt l '|', String.rindex_opt l '|') with
-        | Some i, Some j when j > i -> Some (j - i)
-        | _ -> None)
-      (String.split_on_char '\n' out)
-  in
-  check_bool "rows equally framed" true
-    (widths <> [] && List.for_all (fun w -> w = List.hd widths) widths)
+let test_qc_int_range_counterexample () =
+  (* Fails everywhere: the shrinker must stop at the range's low end,
+     where QCheck.int_range would go on to 0. *)
+  let cell = QCheck.Test.make_cell ~count:20 (Qc.int_range 1 4) (fun x -> x > 10) in
+  match
+    QCheck.TestResult.get_state
+      (QCheck.Test.check_cell ~rand:(Random.State.make [| 7 |]) cell)
+  with
+  | QCheck.TestResult.Failed { instances = c :: _ } ->
+      check_int "minimal counterexample" 1 c.QCheck.TestResult.instance
+  | _ -> Alcotest.fail "property should fail"
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -568,13 +510,10 @@ let suite =
         tc "competing receivers" test_mailbox_competing_receivers;
         tc "try_recv" test_mailbox_try_recv;
       ] );
-    ( "sim.trace",
+    ( "qc",
       [
-        tc "ring buffer" test_trace_basics;
-        tc "validation" test_trace_validation;
-        tc "timeline rendering" test_trace_render;
-        tc "deterministic row order" test_trace_render_deterministic_order;
-        tc "zero-duration tick" test_trace_render_zero_duration;
+        tc "int_range shrinks stay in range" test_qc_int_range_shrinks_in_range;
+        tc "int_range counterexample in range" test_qc_int_range_counterexample;
       ] );
     ( "sim.signal",
       [

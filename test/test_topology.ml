@@ -89,7 +89,7 @@ let table_arb =
    the whole point of the epoch-0 table needing no coordination. *)
 let placement_deterministic_prop =
   QCheck.Test.make ~name:"ring placement is deterministic" ~count:200
-    QCheck.(pair (int_range 1 8) (int_range 0 1000))
+    QCheck.(pair (Qc.int_range 1 8) (Qc.int_range 0 1000))
     (fun (pool, key) ->
       let shards = 1 + (key mod pool) in
       let a = Shard_map.initial ~shards ~pool in
@@ -178,7 +178,7 @@ let views_agree_prop =
   QCheck.Test.make ~name:"views agree after every commit"
     ~count:300
     QCheck.(
-      triple (int_range 2 4) (option (int_range 1 4))
+      triple (Qc.int_range 2 4) (option (Qc.int_range 1 4))
         (small_list (triple (int_bound 2) (int_bound 15) (int_bound 15))))
     (fun (pool, shards, cmds) ->
       let initial =
@@ -242,7 +242,7 @@ let views_agree_prop =
 let catalog_load_prop =
   QCheck.Test.make ~name:"epoch 0 resolves as loaded"
     ~count:40
-    QCheck.(triple (int_range 1 4) (option (int_range 1 4)) (int_range 1 16))
+    QCheck.(triple (Qc.int_range 1 4) (option (Qc.int_range 1 4)) (Qc.int_range 1 16))
     (fun (partitions, shards, keys) ->
       let static = qc_static ~pool:partitions in
       let kv = Kv_app.app ~keys ~partitions ~init:0L in

@@ -272,7 +272,13 @@ let run_longhaul ~quick =
               loop ()
             in
             loop ());
-        let c name = Heron_obs.Metrics.counter_value (Heron_obs.Metrics.counter reg name) in
+        (* Read, not resolve: the replica series carry part/idx labels,
+           and [find] sums them. *)
+        let c name =
+          match Heron_obs.Metrics.(find (snapshot reg)) name with
+          | Some (Heron_obs.Metrics.Counter_v n) -> n
+          | _ -> 0
+        in
         (* Rejoin cost: every byte the bounced follower pulls to catch
            up — state-transfer cells plus replayed multicast backlog. *)
         let rejoin_cost () = c "coord.state_transfer_bytes" + c "mcast.rejoin_replay_bytes" in

@@ -41,6 +41,11 @@ let show name (rs : Driver.run_stats) =
      else Sample_set.mean rs.Driver.rs_latency_multi /. 1e3)
     rs.Driver.rs_completed
 
+(* Mean of a replica histogram over a run's window, all replicas, in us. *)
+let window_mean_us rs name =
+  let count, sum = Driver.window_hist rs ~labels:[] name in
+  float_of_int sum /. float_of_int count /. 1e3
+
 let run_calibration () =
   let t_start = Unix.gettimeofday () in
   (* 1. Single-client NewOrder latency + breakdown, 1WH. *)
@@ -54,10 +59,9 @@ let run_calibration () =
       ()
   in
   show "1WH NewOrder 1 client" rs;
-  let ord = Driver.merged_replica_stat sys (fun s -> s.Heron_core.Replica.st_ordering) in
-  let exc = Driver.merged_replica_stat sys (fun s -> s.Heron_core.Replica.st_exec) in
   pr "  breakdown: ordering=%.1fus exec=%.1fus\n"
-    (Sample_set.mean ord /. 1e3) (Sample_set.mean exc /. 1e3);
+    (window_mean_us rs "replica.ordering_ns")
+    (window_mean_us rs "replica.exec_ns");
 
   (* 2. Single-client pinned 4-partition NewOrder. *)
   let scale4 = Scale.bench ~warehouses:4 in
@@ -70,13 +74,14 @@ let run_calibration () =
       ()
   in
   show "4WH pinned NewOrder 1c" rs4;
-  let ord4 = Driver.merged_replica_stat sys4 (fun s -> s.Heron_core.Replica.st_ordering) in
-  let coord4 = Driver.merged_replica_stat sys4 (fun s -> s.Heron_core.Replica.st_coord) in
-  let exec4 = Driver.merged_replica_stat sys4 (fun s -> s.Heron_core.Replica.st_exec) in
+  (* Coordination per request: Phase 2 plus Phase 4 wait, over the
+     Phase 4 count (every request here spans all four partitions). *)
+  let _, p2_sum = Driver.window_hist rs4 ~labels:[] "coord.phase2_wait_ns" in
+  let p4_count, p4_sum = Driver.window_hist rs4 ~labels:[] "coord.phase4_wait_ns" in
   pr "  breakdown: ordering=%.1fus coord=%.1fus exec=%.1fus\n"
-    (Sample_set.mean ord4 /. 1e3)
-    (Sample_set.mean coord4 /. 1e3)
-    (Sample_set.mean exec4 /. 1e3);
+    (window_mean_us rs4 "replica.ordering_ns")
+    (float_of_int (p2_sum + p4_sum) /. float_of_int p4_count /. 1e3)
+    (window_mean_us rs4 "replica.exec_ns");
 
   (* 3. Heron TPCC throughput, 2WH, saturation. *)
   List.iter

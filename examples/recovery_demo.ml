@@ -26,6 +26,13 @@ let () =
   System.start sys;
 
   let slow = System.replica sys ~part:0 ~idx:2 in
+  (* Replicas record into the deployment's registry, labelled by slot. *)
+  let count ~idx name =
+    let labels = [ ("part", "0"); ("idx", string_of_int idx) ] in
+    match Heron_obs.Metrics.(find (snapshot cfg.Config.metrics)) ~labels name with
+    | Some (Heron_obs.Metrics.Counter_v n) -> n
+    | _ -> 0
+  in
   Replica.inject_exec_delay slow (Time_ns.us 300);
   Format.printf "replica p0/r2 slowed by 300us per request@.";
 
@@ -42,8 +49,11 @@ let () =
       let last = ref (0, 0, 0) in
       for _ = 1 to 400 do
         Engine.sleep (Time_ns.ms 1);
-        let st = Replica.stats slow in
-        let now = (st.Replica.st_laggers, st.Replica.st_skipped, st.Replica.st_executed) in
+        let now =
+          ( count ~idx:2 "coord.lagger_detections",
+            count ~idx:2 "replica.skipped_deliveries",
+            count ~idx:2 "replica.executed" )
+        in
         if now <> !last then begin
           let l, s, e = now in
           Format.printf "t=%a  p0/r2: laggers=%d skipped=%d executed=%d@." Time_ns.pp
@@ -58,13 +68,13 @@ let () =
   Replica.inject_exec_delay slow 0;
   Engine.run_until eng (Time_ns.ms 400);
 
-  let st = Replica.stats slow in
-  Format.printf "@.lagger events    : %d@." st.Replica.st_laggers;
+  let laggers = count ~idx:2 "coord.lagger_detections" in
+  Format.printf "@.lagger events    : %d@." laggers;
   Format.printf "skipped deliveries: %d (covered by state transfer)@."
-    st.Replica.st_skipped;
+    (count ~idx:2 "replica.skipped_deliveries");
   List.iter
     (fun idx ->
-      let donors = (Replica.stats (System.replica sys ~part:0 ~idx)).Replica.st_transfers_served in
+      let donors = count ~idx "coord.state_transfers" in
       if donors > 0 then Format.printf "replica p0/r%d served %d state transfer(s)@." idx donors)
     [ 0; 1 ];
 
@@ -78,4 +88,4 @@ let () =
     (Versioned_store.registered_oids reference);
   Format.printf "final state       : %s@."
     (if !diverged then "DIVERGED" else "converged with the majority");
-  if !diverged || st.Replica.st_laggers = 0 then exit 1
+  if !diverged || laggers = 0 then exit 1

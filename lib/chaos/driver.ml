@@ -351,6 +351,13 @@ let run_exn ?inspect sc =
     Engine.run_for eng step;
     if debug then begin
       Printf.eprintf "t=%dus completed=%d\n" (Engine.now eng / 1000) !completed;
+      let snap = Metrics.snapshot cfg.Config.metrics in
+      let count p i name =
+        let labels = [ ("part", string_of_int p); ("idx", string_of_int i) ] in
+        match Metrics.find snap ~labels name with
+        | Some (Metrics.Counter_v v) -> v
+        | _ -> 0
+      in
       Array.iteri
         (fun p row ->
           Array.iteri
@@ -361,8 +368,8 @@ let run_exn ?inspect sc =
                 (Format.asprintf "%a" Heron_multicast.Tstamp.pp (Replica.last_req r))
                 (Format.asprintf "%a" Heron_multicast.Tstamp.pp
                    (Update_log.last_tmp (Replica.update_log r)))
-                (Replica.stats r).Replica.st_laggers
-                (Replica.stats r).Replica.st_transfers_served)
+                (count p i "coord.lagger_detections")
+                (count p i "coord.state_transfers"))
             row)
         (System.replicas sys);
       for g = 0 to sc.S.sc_partitions - 1 do

@@ -185,9 +185,10 @@ type t = {
       (** elastic shard topology (DESIGN.md §15); disabled by default *)
   metrics : Heron_obs.Metrics.t;
       (** registry the whole deployment records into: the fabric's RDMA
-          verb series, the multicast counters and the replicas'
-          coordination/state-transfer series all share it.
-          [default] wires in [Heron_obs.Metrics.default] so separate
+          verb series, the multicast counters and the replicas' series
+          all share it. It is the only place a replica records; its
+          series carry [part] and [idx] labels, and readers merge them
+          with [Metrics.find] (DESIGN.md §8). [default] wires in [Heron_obs.Metrics.default] so separate
           deployments in one process aggregate; substitute a fresh
           registry ([{ cfg with metrics = Metrics.create () }]) to
           isolate a run. *)

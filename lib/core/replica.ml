@@ -57,10 +57,15 @@ let batch_slot_tmp (base : Tstamp.t) i =
   if i = 0 then base
   else Tstamp.make ~clock:base.Tstamp.clock ~uid:(base.Tstamp.uid + i)
 
-(* Registry handles (resolved once per replica at creation; replicas of
-   one deployment share the config's registry, so these accumulate
-   deployment-wide series). *)
+(* Registry handles, resolved once per replica at creation. Replicas of
+   one deployment share the config's registry, and every series carries
+   the replica's [part] and [idx] labels: a restarted replica resolves
+   its slot's series again, and readers merge label sets through
+   [Metrics.find] (DESIGN.md §8). *)
 type obs = {
+  ob_ordering : Heron_obs.Metrics.histogram;  (* replica.ordering_ns *)
+  ob_exec : Heron_obs.Metrics.histogram;  (* replica.exec_ns *)
+  ob_wait_all_delay : Heron_obs.Metrics.histogram;  (* coord.wait_all_delay_ns *)
   ob_phase2_wait : Heron_obs.Metrics.histogram;  (* coord.phase2_wait_ns *)
   ob_phase4_wait : Heron_obs.Metrics.histogram;  (* coord.phase4_wait_ns *)
   ob_laggers : Heron_obs.Metrics.counter;  (* coord.lagger_detections *)
@@ -80,53 +85,30 @@ type obs = {
   ob_invalidation : Heron_obs.Metrics.histogram;  (* reads.invalidation_ns *)
 }
 
-let make_obs reg =
+let make_obs reg labels =
   let open Heron_obs in
+  let counter = Metrics.counter reg ~labels and histogram = Metrics.histogram reg ~labels in
   {
-    ob_phase2_wait = Metrics.histogram reg "coord.phase2_wait_ns";
-    ob_phase4_wait = Metrics.histogram reg "coord.phase4_wait_ns";
-    ob_laggers = Metrics.counter reg "coord.lagger_detections";
-    ob_transfers = Metrics.counter reg "coord.state_transfers";
-    ob_transfer_bytes = Metrics.counter reg "coord.state_transfer_bytes";
-    ob_remote_miss = Metrics.counter reg "store.dual_version_miss";
-    ob_executed = Metrics.counter reg "replica.executed";
-    ob_skipped = Metrics.counter reg "replica.skipped_deliveries";
-    ob_redirects = Metrics.counter reg "reconfig.redirects";
-    ob_migrations_applied = Metrics.counter reg "reconfig.migrations_applied";
-    ob_checkpoints = Metrics.counter reg "durability.checkpoints";
-    ob_truncated = Metrics.counter reg "durability.truncated_entries";
-    ob_log_len = Metrics.histogram reg "durability.log_len";
-    ob_mcast_log_len = Metrics.histogram reg "durability.mcast_log_len";
-    ob_rejoin_state_bytes = Metrics.counter reg "durability.rejoin_bytes";
-    ob_bootstraps = Metrics.counter reg "durability.checkpoint_bootstraps";
-    ob_invalidation = Metrics.histogram reg "reads.invalidation_ns";
-  }
-
-type stats = {
-  st_ordering : Heron_stats.Sample_set.t;
-  st_coord : Heron_stats.Sample_set.t;
-  st_exec : Heron_stats.Sample_set.t;
-  mutable st_executed : int;
-  mutable st_skipped : int;
-  mutable st_multi : int;
-  mutable st_delayed : int;
-  st_delay : Heron_stats.Sample_set.t;
-  mutable st_laggers : int;
-  mutable st_transfers_served : int;
-}
-
-let make_stats () =
-  {
-    st_ordering = Heron_stats.Sample_set.create ();
-    st_coord = Heron_stats.Sample_set.create ();
-    st_exec = Heron_stats.Sample_set.create ();
-    st_executed = 0;
-    st_skipped = 0;
-    st_multi = 0;
-    st_delayed = 0;
-    st_delay = Heron_stats.Sample_set.create ();
-    st_laggers = 0;
-    st_transfers_served = 0;
+    ob_ordering = histogram "replica.ordering_ns";
+    ob_exec = histogram "replica.exec_ns";
+    ob_wait_all_delay = histogram "coord.wait_all_delay_ns";
+    ob_phase2_wait = histogram "coord.phase2_wait_ns";
+    ob_phase4_wait = histogram "coord.phase4_wait_ns";
+    ob_laggers = counter "coord.lagger_detections";
+    ob_transfers = counter "coord.state_transfers";
+    ob_transfer_bytes = counter "coord.state_transfer_bytes";
+    ob_remote_miss = counter "store.dual_version_miss";
+    ob_executed = counter "replica.executed";
+    ob_skipped = counter "replica.skipped_deliveries";
+    ob_redirects = counter "reconfig.redirects";
+    ob_migrations_applied = counter "reconfig.migrations_applied";
+    ob_checkpoints = counter "durability.checkpoints";
+    ob_truncated = counter "durability.truncated_entries";
+    ob_log_len = histogram "durability.log_len";
+    ob_mcast_log_len = histogram "durability.mcast_log_len";
+    ob_rejoin_state_bytes = counter "durability.rejoin_bytes";
+    ob_bootstraps = counter "durability.checkpoint_bootstraps";
+    ob_invalidation = histogram "reads.invalidation_ns";
   }
 
 (* One outbound coordination fan-out, queued to the coordination-writer
@@ -153,8 +135,9 @@ type ('req, 'resp) t = {
   r_part : int;
   r_idx : int;
   r_span_attrs : (string * string) list;
-      (* [part] and [idx] of every request span, built once: traced runs
-         retain these spans, after-reply ones included *)
+      (* [part] and [idx], built once: the labels of the replica's
+         metric series and of every request span (traced runs retain
+         these spans, after-reply ones included) *)
   r_node : Fabric.node;
   r_store : Versioned_store.t;
   r_coord : Coord_mem.t;
@@ -176,7 +159,6 @@ type ('req, 'resp) t = {
          at the same point of the order *)
   r_track : bool;  (* reconfig enabled: count accesses, accept Migrate *)
   r_access : (Oid.t, int) Hashtbl.t;  (* per-object access counts *)
-  r_stats : stats;
   r_obs : obs;
   mutable r_pending_deser : int;  (* bytes to deserialize after a transfer *)
   mutable r_pending_view : Placement.view option;
@@ -219,6 +201,7 @@ let update_log_entries = 100_000
 
 let create ~cfg ~app ~part ~idx ~node ~store_region_size =
   let reg = cfg.Config.metrics in
+  let labels = [ ("part", string_of_int part); ("idx", string_of_int idx) ] in
   let store = Versioned_store.create node ~region_size:store_region_size in
   let coord =
     Coord_mem.create node ~partitions:cfg.Config.partitions
@@ -231,7 +214,7 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_app = app;
     r_part = part;
     r_idx = idx;
-    r_span_attrs = [ ("part", string_of_int part); ("idx", string_of_int idx) ];
+    r_span_attrs = labels;
     r_node = node;
     r_store = store;
     r_coord = coord;
@@ -246,8 +229,7 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_view = Placement.fresh_view ?shards:(Config.initial_shards cfg) ();
     r_track = cfg.Config.reconfig.Config.enabled;
     r_access = Hashtbl.create 64;
-    r_stats = make_stats ();
-    r_obs = make_obs reg;
+    r_obs = make_obs reg labels;
     r_pending_deser = 0;
     r_pending_view = None;
     r_lease = Read_lease.create node ~replicas:cfg.Config.replicas;
@@ -270,21 +252,6 @@ let part r = r.r_part
 let idx r = r.r_idx
 let last_req r = r.r_last_req
 let last_applied r = r.r_last_applied
-let stats r = r.r_stats
-
-let clear_stats r =
-  let s = r.r_stats in
-  Heron_stats.Sample_set.clear s.st_ordering;
-  Heron_stats.Sample_set.clear s.st_coord;
-  Heron_stats.Sample_set.clear s.st_exec;
-  Heron_stats.Sample_set.clear s.st_delay;
-  s.st_executed <- 0;
-  s.st_skipped <- 0;
-  s.st_multi <- 0;
-  s.st_delayed <- 0;
-  s.st_laggers <- 0;
-  s.st_transfers_served <- 0
-
 let update_log r = r.r_log
 let lease_table r = r.r_lease
 let set_compactor r f = r.r_compact <- Some f
@@ -634,10 +601,9 @@ let coordinate r ~tmp ~dst ~stage ~(wait : Config.coord_wait) =
       Engine.consume (check_cost ());
       if reached_upto n () then ()
       else begin
-        r.r_stats.st_delayed <- r.r_stats.st_delayed + 1;
         let t0 = Engine.now r.r_eng in
         wait_mem r (reached_upto n);
-        Heron_stats.Sample_set.add r.r_stats.st_delay (Engine.now r.r_eng - t0)
+        Heron_obs.Metrics.observe r.r_obs.ob_wait_all_delay (Engine.now r.r_eng - t0)
       end);
   r.r_coord_since <- -1;
   let hist =
@@ -705,7 +671,6 @@ let sync_fanout r ~slot_idx tmp ~status =
    horizon misses any object last written before it, which an empty
    store silently keeps at its catalog value. *)
 let rec initiate_state_transfer_locked r ~failed_tmp ~cover =
-  r.r_stats.st_laggers <- r.r_stats.st_laggers + 1;
   Heron_obs.Metrics.incr r.r_obs.ob_laggers;
   sync_fanout r ~slot_idx:r.r_idx failed_tmp ~status:1;
   (* The request lives only in the group's statesync slots: a member
@@ -923,7 +888,6 @@ let do_transfer r ~lagger_idx ~failed_tmp =
      lagger.r_pending_view <- Some plc;
      lagger.r_pending_lease <- Some lease_snap;
      lagger.r_pending_deser <- lagger.r_pending_deser + loc_bytes;
-     r.r_stats.st_transfers_served <- r.r_stats.st_transfers_served + 1;
      Heron_obs.Metrics.incr r.r_obs.ob_transfers;
      Heron_obs.Metrics.add r.r_obs.ob_transfer_bytes
        (reg_bytes + loc_bytes + plc_bytes);
@@ -1419,8 +1383,7 @@ let exec_single r req ~tmp ~on_applied =
   | resp ->
       on_applied ();
       req_span r req ~stage:"execute" ~start:t0 (Engine.now r.r_eng);
-      Heron_stats.Sample_set.add r.r_stats.st_exec (Engine.now r.r_eng - t0);
-      r.r_stats.st_executed <- r.r_stats.st_executed + 1;
+      Heron_obs.Metrics.observe r.r_obs.ob_exec (Engine.now r.r_eng - t0);
       Heron_obs.Metrics.incr r.r_obs.ob_executed;
       send_reply r req ~tmp (Reply resp)
   | exception Lagging ->
@@ -1444,11 +1407,8 @@ let exec_multi r req ~tmp ~dst ~on_applied =
       coordinate r ~tmp ~dst ~stage:2 ~wait:r.r_cfg.Config.wait_phase4;
       let t3 = Engine.now r.r_eng in
       req_span r req ~stage:"phase4" ~start:t2 t3;
-      Heron_stats.Sample_set.add r.r_stats.st_coord (t1 - t0 + (t3 - t2));
-      Heron_stats.Sample_set.add r.r_stats.st_exec (t2 - t1);
-      r.r_stats.st_executed <- r.r_stats.st_executed + 1;
+      Heron_obs.Metrics.observe r.r_obs.ob_exec (t2 - t1);
       Heron_obs.Metrics.incr r.r_obs.ob_executed;
-      r.r_stats.st_multi <- r.r_stats.st_multi + 1;
       send_reply r req ~tmp (Reply resp)
   | exception Lagging ->
       (* Algorithm 2 lines 23-25: synchronise and skip. The request only
@@ -1669,9 +1629,10 @@ let delivery_loop r =
       let reg = r.r_cfg.Config.metrics in
       let cidx = Conflict_index.create () in
       Conflict_index.attach_metrics cidx reg;
-      let blocked_ctr = Heron_obs.Metrics.counter reg "sched.conflict_blocked" in
-      let q_depth = Heron_obs.Metrics.histogram reg "pipeline.exec_queue_depth" in
-      let q_wait = Heron_obs.Metrics.histogram reg "pipeline.exec_queue_wait_ns" in
+      let labels = r.r_span_attrs in
+      let blocked_ctr = Heron_obs.Metrics.counter reg ~labels "sched.conflict_blocked" in
+      let q_depth = Heron_obs.Metrics.histogram reg ~labels "pipeline.exec_queue_depth" in
+      let q_wait = Heron_obs.Metrics.histogram reg ~labels "pipeline.exec_queue_wait_ns" in
       let mb = Mailbox.create () in
       r.r_coord_mb <- Some mb;
       Fabric.spawn_on r.r_node (fun () -> coord_writer_loop r mb);
@@ -1743,7 +1704,6 @@ let delivery_loop r =
   let fresh tmp =
     if Tstamp.(tmp <= r.r_last_req) then begin
       settle tmp;
-      r.r_stats.st_skipped <- r.r_stats.st_skipped + 1;
       Heron_obs.Metrics.incr r.r_obs.ob_skipped;
       false
     end
@@ -1755,7 +1715,7 @@ let delivery_loop r =
   let sequence_req tmp dst req =
     if fresh tmp then begin
       req_span r req ~stage:"ordering" ~start:req.rq_submitted (Engine.now r.r_eng);
-      Heron_stats.Sample_set.add r.r_stats.st_ordering
+      Heron_obs.Metrics.observe r.r_obs.ob_ordering
         (Engine.now r.r_eng - req.rq_submitted);
       (* Routing decision before any suspension point: admission waits
          must not let a concurrently adopted placement view change the

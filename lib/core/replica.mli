@@ -96,24 +96,6 @@ type ('req, 'resp) msg =
 
 (** What travels the atomic multicast. *)
 
-type stats = {
-  st_ordering : Heron_stats.Sample_set.t;
-      (** client-submit to delivery, per executed request *)
-  st_coord : Heron_stats.Sample_set.t;
-      (** total Phase 2 + Phase 4 wait, per multi-partition request *)
-  st_exec : Heron_stats.Sample_set.t;  (** execution time per request *)
-  mutable st_executed : int;
-  mutable st_skipped : int;  (** deliveries skipped (state transfer) *)
-  mutable st_multi : int;  (** executed multi-partition requests *)
-  mutable st_delayed : int;
-      (** Table I: multi-partition requests for which, at the instant
-          the majority condition held, some replica was still missing *)
-  st_delay : Heron_stats.Sample_set.t;
-      (** Table I: extra wait from majority until all present *)
-  mutable st_laggers : int;  (** times this replica found itself lagging *)
-  mutable st_transfers_served : int;  (** times it acted as donor *)
-}
-
 type ('req, 'resp) t
 
 val create :
@@ -124,6 +106,9 @@ val create :
   node:Heron_rdma.Fabric.node ->
   store_region_size:int ->
   ('req, 'resp) t
+(** The replica records only into [cfg.metrics], every series labelled
+    with its [part] and [idx] (DESIGN.md §8); a replica restarted into
+    the same slot continues the same series. *)
 
 val set_directory : ('req, 'resp) t -> ('req, 'resp) t array array -> unit
 (** [set_directory r all] gives [r] the full matrix
@@ -144,11 +129,6 @@ val last_applied : ('req, 'resp) t -> Tstamp.t
 (** The applied frontier: the highest position executed or covered by a
     state transfer. The lease granter gates renewals on it — see
     {!System}. *)
-
-val stats : ('req, 'resp) t -> stats
-
-val clear_stats : ('req, 'resp) t -> unit
-(** Reset all counters and samples (end of a warmup window). *)
 
 val force_state_transfer :
   ?cover:Tstamp.t -> ('req, 'resp) t -> failed_tmp:Tstamp.t -> unit

@@ -11,28 +11,53 @@ type run_stats = {
   rs_latency_single : Sample_set.t;
   rs_latency_multi : Sample_set.t;
   rs_completed : int;
+  rs_window : Heron_obs.Metrics.snapshot;
 }
 
 let default_warmup = Time_ns.ms 10
 let default_measure = Time_ns.ms 40
 
-let finish ~measure ~latency ~single ~multi ~completed =
+(* The closed-loop bookkeeping every runner shares: clients [record]
+   each completed request, and [run_window] runs the warmup, opens the
+   measurement window until [warmup_end + measure], and returns the
+   window's samples and registry diff. *)
+type window = {
+  latency : Sample_set.t;
+  single : Sample_set.t;
+  multi : Sample_set.t;
+  mutable measuring : bool;
+}
+
+let window () =
+  let set = Sample_set.create in
+  { latency = set (); single = set (); multi = set (); measuring = false }
+
+let record w ~is_multi dt =
+  if w.measuring then begin
+    Sample_set.add w.latency dt;
+    Sample_set.add (if is_multi then w.multi else w.single) dt
+  end
+
+let run_window w eng ~snapshot ~warmup_end ~measure =
+  Engine.run_until eng warmup_end;
+  let before = snapshot () in
+  w.measuring <- true;
+  Engine.run_until eng (warmup_end + measure);
+  w.measuring <- false;
+  let completed = Sample_set.count w.latency in
   {
-    rs_throughput_tps = float_of_int !completed /. Time_ns.to_s_f measure;
-    rs_latency = latency;
-    rs_latency_single = single;
-    rs_latency_multi = multi;
-    rs_completed = !completed;
+    rs_throughput_tps = float_of_int completed /. Time_ns.to_s_f measure;
+    rs_latency = w.latency;
+    rs_latency_single = w.single;
+    rs_latency_multi = w.multi;
+    rs_completed = completed;
+    rs_window = Heron_obs.Metrics.diff ~before ~after:(snapshot ());
   }
 
 let run_system ?(warmup = default_warmup) ?(measure = default_measure) ~sys ~clients
     ~gen () =
   let eng = System.engine sys in
-  let latency = Sample_set.create () in
-  let single = Sample_set.create () in
-  let multi = Sample_set.create () in
-  let completed = ref 0 in
-  let measuring = ref false in
+  let w = window () in
   for c = 0 to clients - 1 do
     let rng = Random.State.make [| c; 0xC11E47 |] in
     let node = System.new_client_node sys ~name:(Printf.sprintf "client-%d" c) in
@@ -48,24 +73,25 @@ let run_system ?(warmup = default_warmup) ?(measure = default_measure) ~sys ~cli
             | Some dst -> System.submit_to sys ~from:node ~dst req
             | None -> System.submit sys ~from:node req
           in
-          let t1 = Engine.self_now () in
-          if !measuring then begin
-            incr completed;
-            Sample_set.add latency (t1 - t0);
-            Sample_set.add
-              (if List.length resps = 1 then single else multi)
-              (t1 - t0)
-          end;
+          record w ~is_multi:(List.length resps <> 1) (Engine.self_now () - t0);
           loop ()
         in
         loop ())
   done;
-  Engine.run_until eng (Engine.now eng + warmup);
-  Array.iter (fun row -> Array.iter Replica.clear_stats row) (System.replicas sys);
-  measuring := true;
-  Engine.run_until eng (Engine.now eng + measure);
-  measuring := false;
-  finish ~measure ~latency ~single ~multi ~completed
+  let reg = (System.config sys).Config.metrics in
+  run_window w eng
+    ~snapshot:(fun () -> Heron_obs.Metrics.snapshot reg)
+    ~warmup_end:(Engine.now eng + warmup) ~measure
+
+let window_count rs ~labels name =
+  match Heron_obs.Metrics.find rs.rs_window ~labels name with
+  | Some (Heron_obs.Metrics.Counter_v n) -> n
+  | _ -> 0
+
+let window_hist rs ~labels name =
+  match Heron_obs.Metrics.find rs.rs_window ~labels name with
+  | Some (Heron_obs.Metrics.Histogram_v h) -> (h.Heron_obs.Metrics.hs_count, h.hs_sum)
+  | _ -> (0, 0)
 
 let heron_tpcc_system ?(seed = 1) ?(replicas = 3) ?(cfg_tweak = Fun.id) ~scale () =
   let eng = Engine.create ~seed () in
@@ -133,11 +159,7 @@ let run_ramcast ?(seed = 1) ?(warmup = default_warmup) ?(measure = default_measu
     done
   done;
   Ramcast.start sys;
-  let latency = Sample_set.create () in
-  let single = Sample_set.create () in
-  let multi = Sample_set.create () in
-  let completed = ref 0 in
-  let measuring = ref false in
+  let w = window () in
   for c = 0 to clients - 1 do
     let rng = Random.State.make [| c; 0x52414d |] in
     let node = Fabric.add_node fab ~name:(Printf.sprintf "rc-client-%d" c) in
@@ -153,21 +175,14 @@ let run_ramcast ?(seed = 1) ?(warmup = default_warmup) ?(measure = default_measu
              submit transfer itself takes non-zero time. *)
           Hashtbl.replace waiting uid (remaining, iv);
           Ivar.read iv;
-          let t1 = Engine.self_now () in
-          if !measuring then begin
-            incr completed;
-            Sample_set.add latency (t1 - t0);
-            Sample_set.add (if List.length dst = 1 then single else multi) (t1 - t0)
-          end;
+          record w ~is_multi:(List.length dst <> 1) (Engine.self_now () - t0);
           loop ()
         in
         loop ())
   done;
-  Engine.run_until eng warmup;
-  measuring := true;
-  Engine.run_until eng (warmup + measure);
-  measuring := false;
-  finish ~measure ~latency ~single ~multi ~completed
+  run_window w eng
+    ~snapshot:(fun () -> Heron_obs.Metrics.snapshot (Fabric.metrics fab))
+    ~warmup_end:warmup ~measure
 
 (* {1 DynaStar runs} *)
 
@@ -181,11 +196,7 @@ let run_dynastar ?(seed = 1) ?(warmup = Time_ns.ms 40) ?(measure = Time_ns.ms 16
     Dynastar.create eng ~config ~partitions:scale.Scale.warehouses ~replicas ~app ()
   in
   Dynastar.start ds;
-  let latency = Sample_set.create () in
-  let single = Sample_set.create () in
-  let multi = Sample_set.create () in
-  let completed = ref 0 in
-  let measuring = ref false in
+  let w = window () in
   for c = 0 to clients - 1 do
     let rng = Random.State.make [| c; 0xD57A7 |] in
     let client = Dynastar.new_client ds ~name:(Printf.sprintf "ds-client-%d" c) in
@@ -196,34 +207,10 @@ let run_dynastar ?(seed = 1) ?(warmup = Time_ns.ms 40) ?(measure = Time_ns.ms 16
           let is_multi = Tx.is_multi_warehouse req in
           let t0 = Engine.self_now () in
           ignore (Dynastar.submit ds client req);
-          let t1 = Engine.self_now () in
-          if !measuring then begin
-            incr completed;
-            Sample_set.add latency (t1 - t0);
-            Sample_set.add (if is_multi then multi else single) (t1 - t0)
-          end;
+          record w ~is_multi (Engine.self_now () - t0);
           loop ()
         in
         loop ())
   done;
-  Engine.run_until eng warmup;
-  measuring := true;
-  Engine.run_until eng (warmup + measure);
-  measuring := false;
-  finish ~measure ~latency ~single ~multi ~completed
-
-(* {1 Aggregation} *)
-
-let merged_replica_stat sys pick =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left
-        (fun acc r -> Sample_set.merge acc (pick (Replica.stats r)))
-        acc row)
-    (Sample_set.create ()) (System.replicas sys)
-
-let sum_replica_stat sys pick =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left (fun acc r -> acc + pick (Replica.stats r)) acc row)
-    0 (System.replicas sys)
+  (* DynaStar's message network records into no registry. *)
+  run_window w eng ~snapshot:(fun () -> []) ~warmup_end:warmup ~measure

@@ -7,8 +7,8 @@
     the client-observed submit-to-reply interval, throughput counts
     requests completed during the measurement window of virtual time,
     and replica-side statistics (ordering/coordination/execution
-    breakdown, Table I delay counters) are reset at the end of
-    warmup. *)
+    breakdown, Table I delay counters) are the registry's diff over
+    that window. *)
 
 open Heron_sim
 open Heron_stats
@@ -21,6 +21,11 @@ type run_stats = {
   rs_latency_single : Sample_set.t;  (** single-partition requests *)
   rs_latency_multi : Sample_set.t;  (** multi-partition requests *)
   rs_completed : int;
+  rs_window : Heron_obs.Metrics.snapshot;
+      (** the deployment registry's diff over the measurement window
+          ({!Heron_obs.Metrics.diff}); read it with
+          {!Heron_obs.Metrics.find}, filtering by the replicas' [part]
+          and [idx] labels *)
 }
 
 val run_system :
@@ -34,8 +39,17 @@ val run_system :
 (** Drive an already-started Heron deployment with [clients] closed-loop
     clients. [gen] produces each request plus an optional explicit
     destination override (used by null-request workloads); when [None]
-    the destinations come from the application. Replica stats are
-    cleared after warmup, so they describe the measurement window. *)
+    the destinations come from the application. [rs_window] is the diff
+    of the config's registry between the end of warmup and the end of
+    the measurement window. *)
+
+val window_count : run_stats -> labels:(string * string) list -> string -> int
+(** A counter of [rs_window], summed over every series whose labels
+    include [labels]; 0 when none does. *)
+
+val window_hist : run_stats -> labels:(string * string) list -> string -> int * int
+(** [(count, sum)] of a histogram of [rs_window], merged like
+    {!window_count}. *)
 
 val heron_tpcc_system :
   ?seed:int ->
@@ -76,7 +90,8 @@ val run_ramcast :
   run_stats
 (** Throughput/latency of the atomic multicast alone (Figure 4's
     "Ramcast" series): clients multicast opaque messages and wait until
-    every destination group delivered. *)
+    every destination group delivered. [rs_window] covers the fabric's
+    registry. *)
 
 val run_dynastar :
   ?seed:int ->
@@ -89,12 +104,5 @@ val run_dynastar :
   profile:Workload.profile ->
   unit ->
   run_stats
-(** Closed-loop TPCC over the DynaStar baseline (Figure 5). *)
-
-(** {1 Aggregation helpers} *)
-
-val merged_replica_stat :
-  ('req, 'resp) System.t -> (Replica.stats -> Sample_set.t) -> Sample_set.t
-(** Union of one per-replica sample set over all replicas. *)
-
-val sum_replica_stat : ('req, 'resp) System.t -> (Replica.stats -> int) -> int
+(** Closed-loop TPCC over the DynaStar baseline (Figure 5). DynaStar
+    records no metrics, so [rs_window] is empty. *)

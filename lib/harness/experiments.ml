@@ -8,6 +8,11 @@ open Heron_tpcc
 let kt tps = Printf.sprintf "%.1f" (tps /. 1_000.)
 let us_mean set = Table.cell_us (int_of_float (Sample_set.mean set))
 
+(* The mean of a [(count, sum)] window histogram, as [us_mean] prints a
+   sample set's. *)
+let us_mean_hist (count, sum) =
+  Table.cell_us (if count = 0 then 0 else int_of_float (float_of_int sum /. float_of_int count))
+
 (* The TPCC-like destination distribution used by the transport-level
    series of Figure 4 (RamCast and Heron-null): ~90% single partition,
    ~10% spanning two partitions, matching the standard mix. *)
@@ -151,21 +156,17 @@ let fig6 ?(quick = false) () =
   let run name gen =
     let sys = Driver.heron_tpcc_system ~scale () in
     let rs = Driver.run_system ~warmup:(Time_ns.ms 2) ~measure ~sys ~clients:1 ~gen () in
-    let home_stat pick =
-      Array.fold_left
-        (fun acc r -> Sample_set.merge acc (pick (Replica.stats r)))
-        (Sample_set.create ())
-        (System.replicas sys).(0)
-    in
-    let ordering = home_stat (fun s -> s.Replica.st_ordering) in
-    let coord = home_stat (fun s -> s.Replica.st_coord) in
-    let exec = home_stat (fun s -> s.Replica.st_exec) in
+    let home = Driver.window_hist rs ~labels:[ ("part", "0") ] in
+    (* Coordination per multi-partition request: its Phase 2 and Phase 4
+       waits, over the Phase 4 count (one per such request). *)
+    let _, p2_sum = home "coord.phase2_wait_ns" in
+    let p4_count, p4_sum = home "coord.phase4_wait_ns" in
     Table.add_row breakdown
       [
         name;
-        us_mean ordering;
-        (if Sample_set.is_empty coord then "0.0" else us_mean coord);
-        us_mean exec;
+        us_mean_hist (home "replica.ordering_ns");
+        (if p4_count = 0 then "0.0" else us_mean_hist (p4_count, p2_sum + p4_sum));
+        us_mean_hist (home "replica.exec_ns");
         us_mean rs.Driver.rs_latency;
       ];
     Table.add_row cdf
@@ -278,14 +279,11 @@ let table1 ?(quick = false) () =
           ()
       in
       for part = 0 to partitions - 1 do
-        let row = (System.replicas sys).(part) in
-        let delayed = Array.fold_left (fun a r -> a + (Replica.stats r).Replica.st_delayed) 0 row in
-        let multi = Array.fold_left (fun a r -> a + (Replica.stats r).Replica.st_multi) 0 row in
-        let delays =
-          Array.fold_left
-            (fun acc r -> Sample_set.merge acc (Replica.stats r).Replica.st_delay)
-            (Sample_set.create ()) row
+        let labels = [ ("part", string_of_int part) ] in
+        let ((delayed, _) as delays) =
+          Driver.window_hist rs ~labels "coord.wait_all_delay_ns"
         in
+        let multi, _ = Driver.window_hist rs ~labels "coord.phase4_wait_ns" in
         let pct = if multi = 0 then 0. else float_of_int delayed /. float_of_int multi in
         Table.add_row table
           [
@@ -295,7 +293,7 @@ let table1 ?(quick = false) () =
             (if part = 0 then us_mean rs.Driver.rs_latency else "");
             Printf.sprintf "#%d" (part + 1);
             Table.cell_pct pct;
-            (if Sample_set.is_empty delays then "-" else us_mean delays);
+            (if delayed = 0 then "-" else us_mean_hist delays);
           ]
       done)
     configs;
@@ -482,11 +480,12 @@ let ablation_grace ?(quick = false) () =
         ~gen:(Driver.tpcc_gen ~profile:Workload.standard ~scale)
         ()
     in
-    let laggers = Driver.sum_replica_stat sys (fun s -> s.Replica.st_laggers) in
-    let transfers =
-      Driver.sum_replica_stat sys (fun s -> s.Replica.st_transfers_served)
+    let count = Driver.window_count rs in
+    let laggers = count ~labels:[] "coord.lagger_detections" in
+    let transfers = count ~labels:[] "coord.state_transfers" in
+    let skipped =
+      count ~labels:[ ("part", "0"); ("idx", "2") ] "replica.skipped_deliveries"
     in
-    let skipped = (Replica.stats slow).Replica.st_skipped in
     Table.add_row table
       [
         name;

@@ -33,11 +33,12 @@ type histogram = {
   mutable h_sum : int;
   mutable h_min : int;
   mutable h_max : int;
-  h_buckets : int array;
+  mutable h_buckets : int array;
+      (* grown to cover the largest bucket observed: most series keep a
+         few hundred buckets, and one never observed keeps none *)
 }
 
-let make_histogram () =
-  { h_count = 0; h_sum = 0; h_min = 0; h_max = 0; h_buckets = Array.make n_buckets 0 }
+let make_histogram () = { h_count = 0; h_sum = 0; h_min = 0; h_max = 0; h_buckets = [||] }
 
 let observe h v =
   let v = max 0 v in
@@ -46,6 +47,12 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   let i = bucket_of v in
+  let n = Array.length h.h_buckets in
+  if i >= n then begin
+    let grown = Array.make (min n_buckets (i + 1 + sub)) 0 in
+    Array.blit h.h_buckets 0 grown 0 n;
+    h.h_buckets <- grown
+  end;
   h.h_buckets.(i) <- h.h_buckets.(i) + 1
 
 let hist_count h = h.h_count
@@ -67,11 +74,13 @@ let percentile_of_buckets buckets ~count p =
     walk 0 buckets
   end
 
+(* Only buckets between the min's and the max's can be non-empty. *)
 let nonzero_buckets h =
   let acc = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    if h.h_buckets.(i) > 0 then acc := (bucket_upper i, h.h_buckets.(i)) :: !acc
-  done;
+  if h.h_count > 0 then
+    for i = bucket_of h.h_max downto bucket_of h.h_min do
+      if h.h_buckets.(i) > 0 then acc := (bucket_upper i, h.h_buckets.(i)) :: !acc
+    done;
   !acc
 
 let hist_percentile h p = percentile_of_buckets (nonzero_buckets h) ~count:h.h_count p
@@ -93,9 +102,14 @@ let gauge_value g = g.g_val
 
 type metric = C of counter | G of gauge | H of histogram
 
-type t = { tbl : (string * (string * string) list, metric) Hashtbl.t }
+type t = {
+  tbl : (string * (string * string) list, metric) Hashtbl.t;
+  mutable sorted : ((string * (string * string) list) * metric) list option;
+      (* the series in snapshot order; dropped when one is added, so
+         repeated snapshots of a large registry sort it once *)
+}
 
-let create () = { tbl = Hashtbl.create 64 }
+let create () = { tbl = Hashtbl.create 64; sorted = None }
 let default = create ()
 
 let norm_labels labels = List.sort compare labels
@@ -115,6 +129,7 @@ let get_or_create t name labels ~make ~extract ~want =
   | None ->
       let x, m = make () in
       Hashtbl.replace t.tbl key m;
+      t.sorted <- None;
       x
 
 let counter t ?(labels = []) name =
@@ -161,34 +176,54 @@ type entry = {
 
 type snapshot = entry list
 
+(* [hs] over [count] observations in [buckets], percentiles re-derived. *)
+let with_buckets hs ~count buckets =
+  let p = percentile_of_buckets buckets ~count in
+  { hs with hs_count = count; hs_p50 = p 50.; hs_p90 = p 90.; hs_p99 = p 99.; hs_buckets = buckets }
+
 let snap_histogram h =
-  let buckets = nonzero_buckets h in
-  {
-    hs_count = h.h_count;
-    hs_sum = h.h_sum;
-    hs_min = h.h_min;
-    hs_max = h.h_max;
-    hs_p50 = percentile_of_buckets buckets ~count:h.h_count 50.;
-    hs_p90 = percentile_of_buckets buckets ~count:h.h_count 90.;
-    hs_p99 = percentile_of_buckets buckets ~count:h.h_count 99.;
-    hs_buckets = buckets;
-  }
+  with_buckets
+    { hs_count = 0; hs_sum = h.h_sum; hs_min = h.h_min; hs_max = h.h_max;
+      hs_p50 = 0; hs_p90 = 0; hs_p99 = 0; hs_buckets = [] }
+    ~count:h.h_count (nonzero_buckets h)
 
 let snapshot t =
-  Hashtbl.fold
-    (fun (name, labels) m acc ->
+  let sorted =
+    match t.sorted with
+    | Some l -> l
+    | None ->
+        let l =
+          List.sort (fun (a, _) (b, _) -> compare a b) (List.of_seq (Hashtbl.to_seq t.tbl))
+        in
+        t.sorted <- Some l;
+        l
+  in
+  List.map
+    (fun ((name, labels), m) ->
       let v =
         match m with
         | C c -> Counter_v c.c_val
         | G g -> Gauge_v g.g_val
         | H h -> Histogram_v (snap_histogram h)
       in
-      { e_name = name; e_labels = labels; e_value = v } :: acc)
-    t.tbl []
-  |> List.sort (fun a b -> compare (a.e_name, a.e_labels) (b.e_name, b.e_labels))
+      { e_name = name; e_labels = labels; e_value = v })
+    sorted
+
+(* Bucket lists are sorted by upper bound: combine two bucket by bucket
+   with [f] (an absent bucket counts 0), keeping the positive counts. *)
+let rec zip_buckets f a b =
+  let cons u c rest = if c > 0 then (u, c) :: rest else rest in
+  match (a, b) with
+  | [], [] -> []
+  | (u, c) :: r, [] -> cons u (f c 0) (zip_buckets f r [])
+  | [], (u, c) :: r -> cons u (f 0 c) (zip_buckets f [] r)
+  | (ua, ca) :: ra, (ub, cb) :: rb ->
+      if ua = ub then cons ua (f ca cb) (zip_buckets f ra rb)
+      else if ua < ub then cons ua (f ca 0) (zip_buckets f ra b)
+      else cons ub (f 0 cb) (zip_buckets f a rb)
 
 let diff ~before ~after =
-  let old = Hashtbl.create 64 in
+  let old = Hashtbl.create (List.length before) in
   List.iter (fun e -> Hashtbl.replace old (e.e_name, e.e_labels) e.e_value) before;
   List.map
     (fun e ->
@@ -197,38 +232,40 @@ let diff ~before ~after =
         match (e.e_value, prev) with
         | Counter_v v, Some (Counter_v p) -> Counter_v (v - p)
         | Histogram_v hs, Some (Histogram_v ps) ->
-            let prev_count ub =
-              match List.assoc_opt ub ps.hs_buckets with Some c -> c | None -> 0
-            in
-            let buckets =
-              List.filter_map
-                (fun (ub, c) ->
-                  let d = c - prev_count ub in
-                  if d > 0 then Some (ub, d) else None)
-                hs.hs_buckets
-            in
-            let count = hs.hs_count - ps.hs_count in
             Histogram_v
-              {
-                hs with
-                hs_count = count;
-                hs_sum = hs.hs_sum - ps.hs_sum;
-                hs_p50 = percentile_of_buckets buckets ~count 50.;
-                hs_p90 = percentile_of_buckets buckets ~count 90.;
-                hs_p99 = percentile_of_buckets buckets ~count 99.;
-                hs_buckets = buckets;
-              }
+              (with_buckets
+                 { hs with hs_sum = hs.hs_sum - ps.hs_sum }
+                 ~count:(hs.hs_count - ps.hs_count)
+                 (zip_buckets ( - ) hs.hs_buckets ps.hs_buckets))
         | v, _ -> v
       in
       { e with e_value = value })
     after
 
+let merge_hist a b =
+  let hs_min =
+    if a.hs_count = 0 then b.hs_min
+    else if b.hs_count = 0 then a.hs_min
+    else min a.hs_min b.hs_min
+  in
+  with_buckets
+    { a with hs_sum = a.hs_sum + b.hs_sum; hs_min; hs_max = max a.hs_max b.hs_max }
+    ~count:(a.hs_count + b.hs_count)
+    (zip_buckets ( + ) a.hs_buckets b.hs_buckets)
+
 let find snap ?(labels = []) name =
-  let labels = norm_labels labels in
-  List.find_map
-    (fun e ->
-      if e.e_name = name && e.e_labels = labels then Some e.e_value else None)
-    snap
+  let merge a b =
+    match (a, b) with
+    | Counter_v x, Counter_v y -> Counter_v (x + y)
+    | Histogram_v x, Histogram_v y -> Histogram_v (merge_hist x y)
+    | _ -> invalid_arg (Printf.sprintf "Metrics.find: %s matches several gauges or kinds" name)
+  in
+  List.fold_left
+    (fun acc e ->
+      if e.e_name = name && List.for_all (fun kv -> List.mem kv e.e_labels) labels then
+        Some (match acc with None -> e.e_value | Some v -> merge v e.e_value)
+      else acc)
+    None snap
 
 (* {1 Export} *)
 

@@ -5,9 +5,15 @@
     registry twice for the same identity returns the same underlying
     metric (label order does not matter), which is how components
     sharing a registry accumulate into one series. [counter]/[gauge]/
-    [histogram] return {e handles}: look a metric up once at setup time
-    and the per-event cost is a couple of integer operations, cheap
-    enough to leave enabled during benchmarks.
+    [histogram] return {e writer handles}: look a metric up once at
+    setup time and the per-event cost is a couple of integer
+    operations, cheap enough to leave enabled during benchmarks.
+
+    Readers take a {!snapshot} and query it with {!find}, never a
+    handle: [counter reg name] on a series that its writer labels
+    creates an unlabelled twin that reads 0. {!find} merges every
+    series whose labels include the given ones, so one call reads a
+    single replica, a partition or the whole deployment.
 
     Conventions used across the Heron stack (see DESIGN.md §8):
     dot-separated lowercase names grouped by layer ([rdma.*], [mcast.*],
@@ -105,7 +111,13 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     taken from [after]'s state. Entries only in [before] are dropped. *)
 
 val find : snapshot -> ?labels:(string * string) list -> string -> value_snap option
-(** Entry by identity (labels in any order). *)
+(** Every entry named [name] whose label set contains all of [labels]
+    (in any order; none given matches every label set), merged: counters
+    add; histograms add count, sum and buckets, take the min over the
+    non-empty ones and the max over all, and re-derive p50/p90/p99 from
+    the merged buckets. A lone match is returned unchanged. [None] when
+    nothing matches; raises [Invalid_argument] when several gauges, or
+    entries of different kinds, match. *)
 
 (** {1 Export} *)
 

@@ -17,10 +17,6 @@ let add t x =
   t.size <- t.size + 1;
   t.sorted <- false
 
-let clear t =
-  t.size <- 0;
-  t.sorted <- true
-
 let count t = t.size
 let is_empty t = t.size = 0
 

@@ -11,9 +11,6 @@ val create : unit -> t
 val add : t -> int -> unit
 (** Record one sample. *)
 
-val clear : t -> unit
-(** Drop all samples (e.g. at the end of a warmup window). *)
-
 val count : t -> int
 
 val is_empty : t -> bool

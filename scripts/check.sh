@@ -115,6 +115,14 @@ echo "== bench ablations smoke =="
 # nothing else runs this entry point.
 bench quick ablations > /dev/null
 
+echo "== bench experiment smokes =="
+# Every other table that reads replica series from a run's registry
+# window (Figure 6's breakdown, Table I's delays) and the probe's
+# calibration; with fig8, ablations, longhaul and elastic here, every
+# bench entry point runs.
+bench quick fig4 fig5 fig6 fig7 table1 micro_kv > /dev/null
+dune exec bin/probe.exe > /dev/null
+
 echo "== bench longhaul smoke =="
 # Durability ablation: checkpointing on vs off over a long virtual
 # horizon -> BENCH_longhaul.json (flat vs linear log growth, O(delta)

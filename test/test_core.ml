@@ -867,6 +867,21 @@ let on_client w name f =
   let node = System.new_client_node w.sys ~name in
   Fabric.spawn_on node (fun () -> f node)
 
+(* A fresh registry for a deployment whose replica series a test reads:
+   the default one accumulates every test of the process. *)
+let own_metrics reg tweak c = tweak { c with Config.metrics = reg }
+
+(* A counter of a registry snapshot, summed over the series whose labels
+   include [labels]. Readers go through [find]: resolving a labelled
+   replica series with [Metrics.counter] makes an unlabelled twin that
+   reads 0. *)
+let count_in ?(labels = []) snap name =
+  match Heron_obs.Metrics.find snap ~labels name with
+  | Some (Heron_obs.Metrics.Counter_v n) -> n
+  | _ -> 0
+
+let replica_labels ~part ~idx = [ ("part", string_of_int part); ("idx", string_of_int idx) ]
+
 let value_resp = function
   | Kv_app.Value v -> v
   | r -> Alcotest.failf "expected Value, got %a" Kv_app.pp_resp r
@@ -1013,9 +1028,10 @@ let test_kv_lagger_state_transfer () =
   (* Make replica 2 of partition 0 much slower than its peers, under
      majority-only coordination: it falls behind, its remote reads find
      only too-new versions, and it must recover via state transfer. *)
+  let reg = Heron_obs.Metrics.create () in
   let w =
     make_kv ~seed:7 ~keys:4 ~partitions:2 ~init:0L
-      ~tweak:(fun c -> { c with Config.wait_phase4 = Config.Majority })
+      ~tweak:(own_metrics reg (fun c -> { c with Config.wait_phase4 = Config.Majority }))
       ()
   in
   let slow = System.replica w.sys ~part:0 ~idx:2 in
@@ -1027,12 +1043,15 @@ let test_kv_lagger_state_transfer () =
         done)
   done;
   Engine.run_until w.eng (Time_ns.s 2);
-  let st = Replica.stats slow in
-  check_bool "slow replica lagged" true (st.Replica.st_laggers > 0);
-  check_bool "slow replica skipped deliveries" true (st.Replica.st_skipped > 0);
+  let snap = Heron_obs.Metrics.snapshot reg in
+  let slow_count = count_in snap ~labels:(replica_labels ~part:0 ~idx:2) in
+  check_bool "slow replica lagged" true (slow_count "coord.lagger_detections" > 0);
+  check_bool "slow replica skipped deliveries" true
+    (slow_count "replica.skipped_deliveries" > 0);
   let donors =
     List.filter
-      (fun i -> (Replica.stats (System.replica w.sys ~part:0 ~idx:i)).Replica.st_transfers_served > 0)
+      (fun i ->
+        count_in snap ~labels:(replica_labels ~part:0 ~idx:i) "coord.state_transfers" > 0)
       [ 0; 1 ]
   in
   check_bool "some peer served a transfer" true (donors <> []);
@@ -1329,26 +1348,46 @@ let test_kv_trace_spans () =
        (Reqtrace.export_trees col))
 
 let test_kv_stats_recorded () =
-  let w = make_kv ~partitions:2 () in
+  let reg = Heron_obs.Metrics.create () in
+  let w = make_kv ~partitions:2 ~tweak:(own_metrics reg Fun.id) () in
   on_client w "c0" (fun node ->
       ignore (System.submit w.sys ~from:node (Kv_app.Put (0, 1L)));
       ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1 ])));
   Engine.run_until w.eng (Time_ns.ms 20);
-  let st = Replica.stats (System.replica w.sys ~part:0 ~idx:0) in
-  check_int "executed" 2 st.Replica.st_executed;
-  check_int "one multi-partition" 1 st.Replica.st_multi;
-  check_int "coord samples" 1 (Heron_stats.Sample_set.count st.Replica.st_coord);
+  let snap = Heron_obs.Metrics.snapshot reg in
+  let p0r0 = replica_labels ~part:0 ~idx:0 in
+  let hist name =
+    match Heron_obs.Metrics.find snap ~labels:p0r0 name with
+    | Some (Heron_obs.Metrics.Histogram_v h) -> h
+    | _ -> Alcotest.failf "p0/r0 records no %s" name
+  in
+  check_int "executed" 2 (count_in snap ~labels:p0r0 "replica.executed");
+  check_int "one multi-partition" 1 (hist "coord.phase4_wait_ns").Heron_obs.Metrics.hs_count;
+  check_int "coord samples" 1 (hist "coord.phase2_wait_ns").Heron_obs.Metrics.hs_count;
   check_bool "ordering latency positive" true
-    (Heron_stats.Sample_set.min_value st.Replica.st_ordering > 0)
+    ((hist "replica.ordering_ns").Heron_obs.Metrics.hs_min > 0);
+  (* Every replica records under its own labels; the unfiltered read is
+     the deployment's sum. *)
+  let per_replica =
+    List.fold_left
+      (fun acc (part, idx) ->
+        acc + count_in snap ~labels:(replica_labels ~part ~idx) "replica.executed")
+      0
+      [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1); (1, 2) ]
+  in
+  check_int "deployment sum" per_replica (count_in snap "replica.executed");
+  check_int "two requests at six replicas, one at three" 9 per_replica
 
 let test_kv_crash_restart_rejoin () =
   (* The paper's worst case (Section V-E): a replica crashes, loses its
      memory, restarts, transfers the complete state from a peer, and
      resumes executing. *)
-  let w = make_kv ~seed:23 ~keys:6 ~partitions:2 ~init:10L () in
+  let reg = Heron_obs.Metrics.create () in
+  let w = make_kv ~seed:23 ~keys:6 ~partitions:2 ~init:10L ~tweak:(own_metrics reg Fun.id) () in
   let victim_node = Replica.node (System.replica w.sys ~part:0 ~idx:2) in
   let phase = ref `Before in
   let after_ops = ref 0 in
+  let at_restart = ref [] in
   on_client w "driver" (fun node ->
       for _ = 1 to 15 do
         ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1 ]))
@@ -1359,6 +1398,7 @@ let test_kv_crash_restart_rejoin () =
         ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1 ]))
       done;
       System.restart_replica w.sys ~part:0 ~idx:2;
+      at_restart := Heron_obs.Metrics.snapshot reg;
       phase := `Restarted;
       Engine.sleep (Time_ns.ms 5);
       for _ = 1 to 15 do
@@ -1378,11 +1418,53 @@ let test_kv_crash_restart_rejoin () =
       if not (Bytes.equal v0 v2) then
         Alcotest.failf "restarted replica diverged on oid %d" (Oid.to_int oid))
     (Versioned_store.registered_oids reference);
-  (* ... and actually executed requests after rejoining. *)
+  (* ... and actually executed requests after rejoining: the slot's
+     series spans incarnations, so read its diff from the restart. *)
+  let since_restart =
+    Heron_obs.Metrics.diff ~before:!at_restart ~after:(Heron_obs.Metrics.snapshot reg)
+  in
   check_bool "fresh replica executed post-restart traffic" true
-    ((Replica.stats fresh).Replica.st_executed > 0);
+    (count_in since_restart ~labels:(replica_labels ~part:0 ~idx:2) "replica.executed" > 0);
   check_i64 "state reflects all 45 increments" 55L
     (Bytes.get_int64_le (fst (Versioned_store.get (Replica.store fresh) (Kv_app.oid_of_key 0))) 0)
+
+let test_kv_restart_continues_series () =
+  (* A restarted replica resolves its slot's series again: the counts
+     carry on from the crashed incarnation, and a diff from a snapshot
+     taken at the restart isolates the new one. *)
+  let reg = Heron_obs.Metrics.create () in
+  let w = make_kv ~seed:5 ~keys:4 ~partitions:2 ~tweak:(own_metrics reg Fun.id) () in
+  let slot = replica_labels ~part:0 ~idx:2 in
+  let executed snap = count_in snap ~labels:slot "replica.executed" in
+  let at_crash = ref [] and at_restart = ref [] in
+  let incr_all node n =
+    for _ = 1 to n do
+      ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1 ]))
+    done
+  in
+  on_client w "driver" (fun node ->
+      incr_all node 10;
+      Engine.sleep (Time_ns.ms 5);
+      at_crash := Heron_obs.Metrics.snapshot reg;
+      Fabric.crash (Replica.node (System.replica w.sys ~part:0 ~idx:2));
+      incr_all node 5;
+      System.restart_replica w.sys ~part:0 ~idx:2;
+      at_restart := Heron_obs.Metrics.snapshot reg;
+      Engine.sleep (Time_ns.ms 5);
+      incr_all node 5);
+  Engine.run_until w.eng (Time_ns.s 2);
+  let final = Heron_obs.Metrics.snapshot reg in
+  check_int "the first incarnation executed everything" 10 (executed !at_crash);
+  check_int "a restart does not reset the slot" 10 (executed !at_restart);
+  check_int "one series per slot" 1
+    (List.length
+       (List.filter
+          (fun e -> e.Heron_obs.Metrics.e_name = "replica.executed"
+            && e.e_labels = List.sort compare slot)
+          final));
+  let fresh = executed (Heron_obs.Metrics.diff ~before:!at_restart ~after:final) in
+  check_bool "the diff counts the new incarnation's executions" true (fresh > 0 && fresh <= 5);
+  check_int "the series continues" (10 + fresh) (executed final)
 
 let test_kv_leader_crash_tolerated () =
   (* Crash the replica that is also its partition's multicast leader:
@@ -1523,9 +1605,10 @@ let test_parallel_correctness () =
   (* 4 executors: disjoint-key updates run concurrently, transfers act
      as multi-partition barriers; conservation and convergence must
      hold exactly as in sequential mode. *)
+  let reg = Heron_obs.Metrics.create () in
   let w =
     make_kv ~seed:17 ~keys:8 ~partitions:2 ~init:100L
-      ~tweak:(fun c -> { c with Config.pipeline = executors 4 })
+      ~tweak:(own_metrics reg (fun c -> { c with Config.pipeline = executors 4 }))
       ()
   in
   let rng = Random.State.make [| 3 |] in
@@ -1560,9 +1643,7 @@ let test_parallel_correctness () =
      number of adds is workload-dependent, but the total must be
      800 + (#adds): recompute by draining stats. *)
   let executed =
-    Array.fold_left
-      (fun acc row -> acc + (Replica.stats row.(0)).Replica.st_executed)
-      0 (System.replicas w.sys)
+    count_in (Heron_obs.Metrics.snapshot reg) ~labels:[ ("idx", "0") ] "replica.executed"
   in
   check_bool "requests executed" true (executed > 0);
   check_bool "total is initial plus adds" true
@@ -1953,8 +2034,7 @@ let dur_tweak ?(interval = 500_000) reg c =
     metrics = reg;
   }
 
-let counter_of reg name =
-  Heron_obs.Metrics.counter_value (Heron_obs.Metrics.counter reg name)
+let counter_of reg name = count_in (Heron_obs.Metrics.snapshot reg) name
 
 let test_durability_onoff_equivalence () =
   (* Checkpointing is a refinement: it truncates logs and publishes
@@ -2293,6 +2373,7 @@ let suite =
         tc "back-to-back adopted transfers" test_kv_back_to_back_adopted_transfers;
         tc "replica crash tolerated" test_kv_replica_crash_tolerated;
         tc "crash, restart, full rejoin" test_kv_crash_restart_rejoin;
+        tc "restart continues the slot's series" test_kv_restart_continues_series;
         tc "multicast leader crash + ex-leader rejoin" test_kv_leader_crash_tolerated;
         tc "chaos regression: rejoin gap (seed 3206)" test_chaos_regression_rejoin_gap;
         Qc.test chaos_crash_restart_prop;

@@ -30,13 +30,16 @@ let test_driver_counts_only_measure_window () =
   Alcotest.(check (float 1.)) "tps consistent"
     (float_of_int rs.Driver.rs_completed /. 0.01)
     rs.Driver.rs_throughput_tps;
-  (* Replica stats were reset after warmup: executed during the window
-     is close to completed (off by in-flight requests). *)
+  (* The registry window starts after warmup: executed during the
+     window is close to completed (off by in-flight requests). *)
   let executed =
-    Array.fold_left
-      (fun acc r -> max acc (Replica.stats r).Replica.st_executed)
-      0
-      (System.replicas sys).(0)
+    List.fold_left
+      (fun acc i ->
+        max acc
+          (Driver.window_count rs
+             ~labels:[ ("part", "0"); ("idx", string_of_int i) ]
+             "replica.executed"))
+      0 [ 0; 1; 2 ]
   in
   check_bool "replica stats describe the window" true
     (abs (executed - rs.Driver.rs_completed) < 20)

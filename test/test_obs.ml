@@ -153,6 +153,71 @@ let test_snapshot_diff () =
       check_int "hist sum delta" 500 hs.Metrics.hs_sum
   | _ -> Alcotest.fail "histogram missing from diff"
 
+(* {1 Merging reads} *)
+
+(* Samples spread over histograms and counters labelled by a 3x3 grid
+   of (part, idx); a filter fixes neither, one or both. The filtered
+   read must equal one histogram that took every matching sample, and
+   the counters' sum. *)
+let find_merges_prop =
+  let slot = QCheck.int_bound 2 in
+  let value = QCheck.oneof [ QCheck.int_bound 15; QCheck.int_bound 1_000_000_000 ] in
+  QCheck.Test.make ~name:"find merges the series a filter matches" ~count:200
+    QCheck.(pair (small_list (triple slot slot value)) (pair (option slot) (option slot)))
+    (fun (samples, (fpart, fidx)) ->
+      let labels p i = [ ("part", string_of_int p); ("idx", string_of_int i) ] in
+      let reg = Metrics.create () and whole = Metrics.create () in
+      for p = 0 to 2 do
+        for i = 0 to 2 do
+          ignore (Metrics.histogram reg ~labels:(labels p i) "h");
+          ignore (Metrics.counter reg ~labels:(labels p i) "c")
+        done
+      done;
+      let all = Metrics.histogram whole "all" and total = ref 0 in
+      let matches p i =
+        Option.fold ~none:true ~some:(( = ) p) fpart
+        && Option.fold ~none:true ~some:(( = ) i) fidx
+      in
+      List.iter
+        (fun (p, i, v) ->
+          Metrics.observe (Metrics.histogram reg ~labels:(labels p i) "h") v;
+          Metrics.add (Metrics.counter reg ~labels:(labels p i) "c") v;
+          if matches p i then begin
+            Metrics.observe all v;
+            total := !total + v
+          end)
+        samples;
+      let filter =
+        List.filter_map Fun.id
+          [
+            Option.map (fun p -> ("part", string_of_int p)) fpart;
+            Option.map (fun i -> ("idx", string_of_int i)) fidx;
+          ]
+      in
+      let snap = Metrics.snapshot reg in
+      let exact_unchanged =
+        List.for_all
+          (fun e -> Metrics.find snap ~labels:e.Metrics.e_labels e.Metrics.e_name = Some e.e_value)
+          snap
+      in
+      Metrics.find snap ~labels:filter "h" = Metrics.find (Metrics.snapshot whole) "all"
+      && Metrics.find snap ~labels:filter "c" = Some (Metrics.Counter_v !total)
+      && exact_unchanged)
+
+let test_find_gauges_do_not_merge () =
+  let reg = Metrics.create () in
+  Metrics.set_gauge (Metrics.gauge reg ~labels:[ ("part", "0") ] "g") 1;
+  Metrics.set_gauge (Metrics.gauge reg ~labels:[ ("part", "1") ] "g") 2;
+  let snap = Metrics.snapshot reg in
+  (match Metrics.find snap ~labels:[ ("part", "1") ] "g" with
+  | Some (Metrics.Gauge_v v) -> check_int "one gauge reads as is" 2 v
+  | _ -> Alcotest.fail "gauge missing");
+  check_bool "two matching gauges raise" true
+    (try
+       ignore (Metrics.find snap "g");
+       false
+     with Invalid_argument _ -> true)
+
 (* {1 JSON} *)
 
 let test_json_roundtrip () =
@@ -303,6 +368,8 @@ let () =
           Alcotest.test_case "label merging" `Quick test_label_merging;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
+          Qc.test find_merges_prop;
+          Alcotest.test_case "gauges do not merge" `Quick test_find_gauges_do_not_merge;
         ] );
       ( "json",
         [

@@ -53,13 +53,6 @@ let test_add_after_query () =
   check_int "max after" 10 (Sample_set.max_value s);
   check_int "count" 3 (Sample_set.count s)
 
-let test_clear () =
-  let s = of_list [ 1; 2; 3 ] in
-  Sample_set.clear s;
-  check_bool "cleared" true (Sample_set.is_empty s);
-  Sample_set.add s 7;
-  check_int "usable after clear" 7 (Sample_set.median s)
-
 let test_cdf () =
   let s = of_list [ 10; 20; 30; 40 ] in
   let cdf = Sample_set.cdf ~points:4 s in
@@ -136,7 +129,6 @@ let suite =
         tc "basic stats" test_basic_stats;
         tc "percentiles" test_percentiles;
         tc "add after query" test_add_after_query;
-        tc "clear" test_clear;
         tc "cdf" test_cdf;
         tc "merge" test_merge;
         Qc.test percentile_prop;

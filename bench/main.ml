@@ -32,35 +32,41 @@ let print_tables ts =
       print_newline ())
     ts
 
-let run_fig4 ~quick = timed "fig4" (fun () -> print_tables [ Experiments.fig4 ~quick () ])
-let run_fig5 ~quick = timed "fig5" (fun () -> print_tables [ Experiments.fig5 ~quick () ])
+(* The experiment tables take [metrics], the registry [--metrics]
+   dumps, or [None] for a fresh registry per deployment. *)
+let run_fig4 ~metrics ~quick =
+  timed "fig4" (fun () -> print_tables [ Experiments.fig4 ?metrics ~quick () ])
 
-let run_fig6 ~quick =
+let run_fig5 ~metrics ~quick =
+  timed "fig5" (fun () -> print_tables [ Experiments.fig5 ?metrics ~quick () ])
+
+let run_fig6 ~metrics ~quick =
   timed "fig6" (fun () ->
-      let a, b = Experiments.fig6 ~quick () in
+      let a, b = Experiments.fig6 ?metrics ~quick () in
       print_tables [ a; b ])
 
-let run_fig7 ~quick =
+let run_fig7 ~metrics ~quick =
   timed "fig7" (fun () ->
-      let a, b = Experiments.fig7 ~quick () in
+      let a, b = Experiments.fig7 ?metrics ~quick () in
       print_tables [ a; b ])
 
-let run_table1 ~quick =
-  timed "table1" (fun () -> print_tables [ Experiments.table1 ~quick () ])
+let run_table1 ~metrics ~quick =
+  timed "table1" (fun () -> print_tables [ Experiments.table1 ?metrics ~quick () ])
 
-let run_fig8 ~quick = timed "fig8" (fun () -> print_tables [ Experiments.fig8 ~quick () ])
+let run_fig8 ~metrics ~quick =
+  timed "fig8" (fun () -> print_tables [ Experiments.fig8 ?metrics ~quick () ])
 
-let run_ablations ~quick =
+let run_ablations ~metrics ~quick =
   timed "ablations" (fun () ->
       print_tables
         [
-          Experiments.ablation_grace ~quick ();
-          Experiments.ablation_parallel ~quick ();
+          Experiments.ablation_grace ?metrics ~quick ();
+          Experiments.ablation_parallel ?metrics ~quick ();
         ])
 
-let run_micro_kv ~quick =
+let run_micro_kv ~metrics ~quick =
   timed "micro_kv" (fun () ->
-      let a, b = Experiments.micro_kv ~quick () in
+      let a, b = Experiments.micro_kv ?metrics ~quick () in
       print_tables [ a; b ])
 
 (* {1 Elastic ramp bench}
@@ -217,11 +223,13 @@ let run_elastic ~quick =
    with two follower bounces — one early (short history) and one late
    (long history). Compares checkpointing on vs off (DESIGN.md §13):
    the update log stays flat under compaction but grows with history
-   without it, and rejoin cost is O(delta) under checkpointing (late
-   bounce costs about the same as the early one) while the baseline's
-   grows with the history replayed. Writes BENCH_longhaul.json;
-   check.sh guards the durable throughput and the compaction factor
-   against the committed quick-mode baseline. *)
+   without it. Rejoin cost is O(delta) either way: the multicast
+   reclaims its log behind the applied frontiers with durability on
+   or off, so neither rejoin replays the history, and the baseline's
+   full-store snapshot of this eight-key store is as small as the
+   checkpoint bootstrap. Writes BENCH_longhaul.json; check.sh guards
+   the durable throughput and the compaction factor against the
+   committed quick-mode baseline. *)
 
 let run_longhaul ~quick =
   timed "longhaul" (fun () ->
@@ -412,8 +420,8 @@ let split_opt flag args =
   in
   go [] args
 
-let dump_metrics file =
-  let snap = Heron_obs.Metrics.(snapshot default) in
+let dump_metrics reg file =
+  let snap = Heron_obs.Metrics.snapshot reg in
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -434,9 +442,9 @@ let experiments =
     ("fig8", true, run_fig8);
     ("ablations", true, run_ablations);
     ("micro_kv", true, run_micro_kv);
-    ("elastic", false, run_elastic);
-    ("longhaul", false, run_longhaul);
-    ("micro", true, fun ~quick:_ -> run_micro ());
+    ("elastic", false, fun ~metrics:_ -> run_elastic);
+    ("longhaul", false, fun ~metrics:_ -> run_longhaul);
+    ("micro", true, fun ~metrics:_ ~quick:_ -> run_micro ());
   ]
 
 let () =
@@ -452,9 +460,13 @@ let () =
         (String.concat " " (List.map (fun (n, _, _) -> n) experiments));
       exit 2);
   let t0 = Unix.gettimeofday () in
+  (* [--metrics] gathers every experiment table's deployments into one
+     registry. *)
+  let reg = Heron_obs.Metrics.create () in
+  let metrics = Option.map (fun _ -> reg) metrics_file in
   List.iter
     (fun (name, default, run) ->
-      if (names = [] && default) || List.mem name names then run ~quick)
+      if (names = [] && default) || List.mem name names then run ~metrics ~quick)
     experiments;
-  Option.iter dump_metrics metrics_file;
+  Option.iter (dump_metrics reg) metrics_file;
   say "total wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

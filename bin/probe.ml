@@ -127,8 +127,7 @@ let run_trace file =
   let reqtrace = Reqtrace.create () in
   let cfg =
     { (Config.default ~partitions:2 ~replicas:3) with
-      Config.metrics = Heron_obs.Metrics.create ();
-      reqtrace = Some reqtrace }
+      Config.reqtrace = Some reqtrace }
   in
   let app = Heron_kv.Kv_app.app ~keys:8 ~partitions:2 ~init:0L in
   let sys = System.create eng ~cfg ~app in
@@ -388,8 +387,7 @@ let run_reconfig () =
   let eng = Engine.create ~seed:11 () in
   let cfg =
     { (Config.default ~partitions ~replicas:3) with
-      Config.metrics = Heron_obs.Metrics.create ();
-      reconfig = { Config.enabled = true } }
+      Config.reconfig = { Config.enabled = true } }
   in
   let app = Heron_kv.Kv_app.app ~keys ~partitions ~init:0L in
   let sys = System.create eng ~cfg ~app in

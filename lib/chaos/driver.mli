@@ -14,14 +14,15 @@
     - {b Not_linearizable} — the recorded client history admits no
       linearization ({!Heron_lincheck.Lincheck}); the detail carries
       the shortest failing prefix.
-    - {b Unbounded} — longhaul runs only (DESIGN.md §13): the run
-      linearized but the durability layer failed its point — no
-      checkpoint or truncation ever happened, a retained log (update or
-      multicast) exceeded a few checkpoint intervals' worth of entries,
-      or rejoins replayed more than O(delta). Bounds are derived from
-      the schedule's own rate (ops, think time, horizon), so they are
-      length-independent: a linearly-growing log fails on any
-      sufficiently long schedule.
+    - {b Unbounded} — the run linearized but a live member's multicast
+      log retained more than a few checkpoint intervals' worth of
+      entries (every run: the log is reclaimed with durability on or
+      off), or, on longhaul runs (DESIGN.md §13), the durability layer
+      failed its point — no checkpoint or truncation ever happened, the
+      update log exceeded that bound, or rejoins replayed more than
+      O(delta). Bounds are derived from the schedule's own rate (ops,
+      think time, horizon), so they are length-independent: a
+      linearly-growing log fails on any sufficiently long schedule.
     - {b Crashed} — an exception escaped the simulated system (an
       assertion or array bound inside protocol code, not the harness);
       the detail carries the exception text.
@@ -38,8 +39,7 @@
 
     Every run builds its deployment on its own metrics registry
     ([Config.metrics] of the system handed to [inspect]), which also
-    counts [chaos.injections_skipped]; a run writes nothing to
-    {!Heron_obs.Metrics.default}. *)
+    counts [chaos.injections_skipped]. *)
 
 type failure =
   | Stalled of { completed : int; expected : int }

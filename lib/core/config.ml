@@ -122,6 +122,6 @@ let default ~partitions ~replicas =
     durability = default_durability;
     fast_reads = default_fast_reads;
     topology = default_topology;
-    metrics = Heron_obs.Metrics.default;
+    metrics = Heron_obs.Metrics.create ();
     reqtrace = None;
   }

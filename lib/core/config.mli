@@ -62,12 +62,12 @@ type durability = {
           the versioned store periodically, publish the checkpoint
           frontier through coordination memory, truncate the update log
           (and reset access-counter history) behind the slowest live
-          replica's published frontier, and compact the multicast
-          delivery log up to the truncation point. A rejoining replica
-          then bootstraps from the donor's checkpoint plus the O(delta)
-          log suffix instead of replaying full history. Off (the
-          default) is behavior-identical to the pre-durability system:
-          no checkpoint fiber is spawned and no log entry is ever
+          replica's published frontier. A rejoining replica then
+          bootstraps from the donor's checkpoint plus the O(delta)
+          update-log suffix instead of a full-store snapshot. The
+          multicast reclaims its own log either way. Off (the default)
+          is behavior-identical to the pre-durability system: no
+          checkpoint fiber is spawned and no update-log entry is ever
           truncated early. *)
   dur_interval_ns : int;
       (** virtual-time period between checkpoints on each replica *)
@@ -188,10 +188,10 @@ type t = {
           verb series, the multicast counters and the replicas' series
           all share it. It is the only place a replica records; its
           series carry [part] and [idx] labels, and readers merge them
-          with [Metrics.find] (DESIGN.md §8). [default] wires in [Heron_obs.Metrics.default] so separate
-          deployments in one process aggregate; substitute a fresh
-          registry ([{ cfg with metrics = Metrics.create () }]) to
-          isolate a run. *)
+          with [Metrics.find] (DESIGN.md §8). [default] makes a fresh
+          registry on every call, so each deployment owns its own;
+          substitute a shared one ([{ cfg with metrics = reg }]) to
+          aggregate several deployments. *)
   reqtrace : Heron_obs.Reqtrace.t option;
       (** request-scoped causal tracing (DESIGN.md §11): when set,
           clients mint a trace per request, the protocol layers emit

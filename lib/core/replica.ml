@@ -184,11 +184,7 @@ type ('req, 'resp) t = {
       (* start of the coordination wait in progress, -1 when none; the
          delivery loop runs at most one at a time *)
   mutable r_ckpt : checkpoint option;  (* latest checkpoint (durability) *)
-  mutable r_compact : (upto:Tstamp.t -> int) option;
-      (* multicast-log compaction hook, installed by System: compacts
-         the partition's delivery log up to the truncation frontier and
-         returns the retained length (the replica layer cannot see the
-         multicast internals) *)
+  r_mcast : ('req, 'resp) msg Ramcast.t;  (* the deployment's multicast *)
   r_eng : Engine.t;
 }
 
@@ -199,7 +195,7 @@ exception Lagging
 (* Update-log entries a replica retains before the oldest drop out. *)
 let update_log_entries = 100_000
 
-let create ~cfg ~app ~part ~idx ~node ~store_region_size =
+let create ~cfg ~app ~mcast ~part ~idx ~node ~store_region_size =
   let reg = cfg.Config.metrics in
   let labels = [ ("part", string_of_int part); ("idx", string_of_int idx) ] in
   let store = Versioned_store.create node ~region_size:store_region_size in
@@ -240,7 +236,7 @@ let create ~cfg ~app ~part ~idx ~node ~store_region_size =
     r_announced = Tstamp.zero;
     r_coord_since = -1;
     r_ckpt = None;
-    r_compact = None;
+    r_mcast = mcast;
     r_eng = Fabric.engine (Fabric.fabric_of node);
   }
 
@@ -254,7 +250,6 @@ let last_req r = r.r_last_req
 let last_applied r = r.r_last_applied
 let update_log r = r.r_log
 let lease_table r = r.r_lease
-let set_compactor r f = r.r_compact <- Some f
 let checkpoint_frontier r = Option.map (fun ck -> ck.ck_frontier) r.r_ckpt
 let inject_exec_delay r d = r.r_exec_delay <- d
 let placement_view r = r.r_view
@@ -960,11 +955,12 @@ let statesync_watcher r =
    A per-replica fiber (spawned by [start] when Config.durability is
    on) periodically snapshots the store, publishes the checkpoint
    frontier to the partition's replicas through coordination memory,
-   and truncates the update log — and, through the System-installed
-   hook, the multicast delivery log — behind the slowest {e live}
-   replica's published frontier. Any live donor's checkpoint then
-   provably covers everything truncated anywhere in the partition, so
-   a rejoiner can always bootstrap from checkpoint + O(delta) suffix. *)
+   and truncates the update log behind the slowest {e live} replica's
+   published frontier. Any live donor's checkpoint then provably
+   covers everything truncated anywhere in the partition, so a
+   rejoiner can always bootstrap from checkpoint + O(delta) suffix.
+   The multicast reclaims its own log behind the applied frontiers
+   (Ramcast.log_retained); the round only samples what it retains. *)
 
 (* Fan the checkpoint frontier out to every replica of our partition
    (self-write local), exactly like a coordination announce. *)
@@ -1069,11 +1065,8 @@ let checkpoint_round r =
     (* Access-counter history behind the truncation point is gone with
        it; the rebalancer only loses already-stale samples. *)
     if r.r_track then Hashtbl.reset r.r_access;
-    (match r.r_compact with
-    | Some compact ->
-        let retained = compact ~upto in
-        Heron_obs.Metrics.observe r.r_obs.ob_mcast_log_len retained
-    | None -> ());
+    Heron_obs.Metrics.observe r.r_obs.ob_mcast_log_len
+      (Ramcast.log_retained r.r_mcast ~gid:r.r_part ~idx:r.r_idx);
     ckpt_span ~stage:"ckpt.truncate" ~start:t2 (Engine.now r.r_eng)
   end;
   Heron_obs.Metrics.observe r.r_obs.ob_log_len (Update_log.length r.r_log);

@@ -101,6 +101,7 @@ type ('req, 'resp) t
 val create :
   cfg:Config.t ->
   app:('req, 'resp) App.t ->
+  mcast:('req, 'resp) msg Ramcast.t ->
   part:int ->
   idx:int ->
   node:Heron_rdma.Fabric.node ->
@@ -108,7 +109,10 @@ val create :
   ('req, 'resp) t
 (** The replica records only into [cfg.metrics], every series labelled
     with its [part] and [idx] (DESIGN.md §8); a replica restarted into
-    the same slot continues the same series. *)
+    the same slot continues the same series. [mcast] is the
+    deployment's multicast, whose member [(part, idx)] feeds this
+    replica; the checkpoint round samples its retained log into
+    [durability.mcast_log_len]. *)
 
 val set_directory : ('req, 'resp) t -> ('req, 'resp) t array array -> unit
 (** [set_directory r all] gives [r] the full matrix
@@ -152,16 +156,6 @@ val watch_coordination : ('req, 'resp) t -> unit
 
 val update_log : ('req, 'resp) t -> Update_log.t
 (** The replica's update log (tests and the Figure 8 experiment). *)
-
-val set_compactor : ('req, 'resp) t -> (upto:Tstamp.t -> int) -> unit
-(** Install the multicast-log compaction hook the checkpoint fiber
-    invokes after truncating the update log (DESIGN.md §13). The hook
-    receives the truncation frontier — the minimum checkpoint frontier
-    over the partition's live replicas — and returns the number of
-    multicast-log entries still retained (fed into the
-    [durability.mcast_log_len] histogram). System wires this to
-    {!Heron_multicast.Ramcast.compact}; without it, checkpointing still
-    truncates the update log but the delivery log grows unboundedly. *)
 
 val checkpoint_frontier : ('req, 'resp) t -> Tstamp.t option
 (** Frontier of the replica's latest checkpoint — every update at or

@@ -137,27 +137,11 @@ let create eng ~cfg ~app =
       specs
   end;
   let sys_dir = Placement.create ?shards:(Config.initial_shards cfg) () in
-  let sys_replicas =
+  let groups =
     Array.init cfg.Config.partitions (fun part ->
-        let region = region_size_for cfg specs ~part + 64 in
         Array.init cfg.Config.replicas (fun idx ->
-            let node =
-              Fabric.add_node fab ~name:(Printf.sprintf "p%d-r%d" part idx)
-            in
-            Replica.create ~cfg ~app ~part ~idx ~node ~store_region_size:region))
+            Fabric.add_node fab ~name:(Printf.sprintf "p%d-r%d" part idx)))
   in
-  Array.iter
-    (fun row -> Array.iter (fun r -> Replica.set_directory r sys_replicas) row)
-    sys_replicas;
-  (* Load the catalog as the directory places it at epoch 0. *)
-  let view = Placement.view sys_dir in
-  Array.iteri
-    (fun part row ->
-      Array.iter
-        (fun r -> load_partition_catalog ~specs ~part ~view (Replica.store r))
-        row)
-    sys_replicas;
-  let groups = Array.map (Array.map Replica.node) sys_replicas in
   (* The ordering layer reads (trace id, root span id) straight out of
      the request payload, so the Skeen rounds need no side channel. *)
   let tracing =
@@ -182,18 +166,33 @@ let create eng ~cfg ~app =
       ~size_of:(fun m -> msg_size app m)
       ~groups
   in
+  let sys_replicas =
+    Array.mapi
+      (fun part row ->
+        let region = region_size_for cfg specs ~part + 64 in
+        Array.mapi
+          (fun idx node ->
+            Replica.create ~cfg ~app ~mcast:sys_mcast ~part ~idx ~node
+              ~store_region_size:region)
+          row)
+      groups
+  in
+  Array.iter
+    (fun row -> Array.iter (fun r -> Replica.set_directory r sys_replicas) row)
+    sys_replicas;
+  (* Load the catalog as the directory places it at epoch 0. *)
+  let view = Placement.view sys_dir in
   Array.iteri
     (fun part row ->
-      Array.iteri
-        (fun idx r ->
-          ignore idx;
-          Ramcast.set_deliver sys_mcast ~gid:part ~idx:(Replica.idx r) (fun dv ->
-              Mailbox.send (Replica.inbox r) dv);
-          if cfg.Config.durability.Config.dur_enabled then
-            Replica.set_compactor r (fun ~upto ->
-                ignore (Ramcast.compact sys_mcast ~gid:part ~upto);
-                Ramcast.log_retained sys_mcast ~gid:part ~idx:(Replica.idx r)))
+      Array.iter
+        (fun r -> load_partition_catalog ~specs ~part ~view (Replica.store r))
         row)
+    sys_replicas;
+  Array.iter
+    (Array.iter (fun r ->
+         Ramcast.set_deliver sys_mcast ~gid:(Replica.part r) ~idx:(Replica.idx r)
+           ~applied:(fun () -> Replica.last_applied r)
+           (fun dv -> Mailbox.send (Replica.inbox r) dv)))
     sys_replicas;
   if cfg.Config.reconfig.Config.enabled then
     Placement.attach_metrics sys_dir cfg.Config.metrics;
@@ -295,8 +294,8 @@ let restart_replica t ~part ~idx =
   let specs = t.sys_app.App.catalog () in
   let region = region_size_for t.sys_cfg specs ~part + 64 in
   let fresh =
-    Replica.create ~cfg:t.sys_cfg ~app:t.sys_app ~part ~idx ~node
-      ~store_region_size:region
+    Replica.create ~cfg:t.sys_cfg ~app:t.sys_app ~mcast:t.sys_mcast ~part ~idx
+      ~node ~store_region_size:region
   in
   (* Epoch-0 ownership, like [create]: anything a split or migration
      re-homed since then arrives with the donor's snapshot. *)
@@ -307,12 +306,9 @@ let restart_replica t ~part ~idx =
      directory matrix; the in-place swap repoints them all. *)
   t.sys_replicas.(part).(idx) <- fresh;
   Replica.set_directory fresh t.sys_replicas;
-  Ramcast.restart_member t.sys_mcast ~gid:part ~idx ~deliver:(fun dv ->
-      Mailbox.send (Replica.inbox fresh) dv);
-  if t.sys_cfg.Config.durability.Config.dur_enabled then
-    Replica.set_compactor fresh (fun ~upto ->
-        ignore (Ramcast.compact t.sys_mcast ~gid:part ~upto);
-        Ramcast.log_retained t.sys_mcast ~gid:part ~idx);
+  Ramcast.restart_member t.sys_mcast ~gid:part ~idx
+    ~applied:(fun () -> Replica.last_applied fresh)
+    ~deliver:(fun dv -> Mailbox.send (Replica.inbox fresh) dv);
   (* Transfer from the beginning of time: the store is empty, so a
      delta from any later point would keep cold objects at their
      catalog values. Any consistent donor snapshot suffices for the

@@ -93,9 +93,16 @@ let window_hist rs ~labels name =
   | Some (Heron_obs.Metrics.Histogram_v h) -> (h.Heron_obs.Metrics.hs_count, h.hs_sum)
   | _ -> (0, 0)
 
-let heron_tpcc_system ?(seed = 1) ?(replicas = 3) ?(cfg_tweak = Fun.id) ~scale () =
+let config ?metrics ~partitions ~replicas () =
+  let cfg = Config.default ~partitions ~replicas in
+  match metrics with Some m -> { cfg with Config.metrics = m } | None -> cfg
+
+let heron_tpcc_system ?(seed = 1) ?(replicas = 3) ?metrics ?(cfg_tweak = Fun.id) ~scale
+    () =
   let eng = Engine.create ~seed () in
-  let cfg = cfg_tweak (Config.default ~partitions:scale.Scale.warehouses ~replicas) in
+  let cfg =
+    cfg_tweak (config ?metrics ~partitions:scale.Scale.warehouses ~replicas ())
+  in
   let app = Tx.app ~scale ~seed:1 in
   let sys = System.create eng ~cfg ~app in
   System.start sys;
@@ -128,9 +135,9 @@ let null_app =
 (* {1 RamCast-only runs} *)
 
 let run_ramcast ?(seed = 1) ?(warmup = default_warmup) ?(measure = default_measure)
-    ?(replicas = 3) ~partitions ~clients ~gen_dst ~msg_bytes () =
+    ?(replicas = 3) ?metrics ~partitions ~clients ~gen_dst ~msg_bytes () =
   let eng = Engine.create ~seed () in
-  let fab = Fabric.create eng ~profile:Profile.default in
+  let fab = Fabric.create ?metrics eng ~profile:Profile.default in
   let groups =
     Array.init partitions (fun g ->
         Array.init replicas (fun i ->

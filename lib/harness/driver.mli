@@ -51,14 +51,21 @@ val window_hist : run_stats -> labels:(string * string) list -> string -> int * 
 (** [(count, sum)] of a histogram of [rs_window], merged like
     {!window_count}. *)
 
+val config :
+  ?metrics:Heron_obs.Metrics.t -> partitions:int -> replicas:int -> unit -> Config.t
+(** [Config.default] recording into [metrics] when given, else into the
+    fresh registry [Config.default] makes. *)
+
 val heron_tpcc_system :
   ?seed:int ->
   ?replicas:int ->
+  ?metrics:Heron_obs.Metrics.t ->
   ?cfg_tweak:(Config.t -> Config.t) ->
   scale:Scale.t ->
   unit ->
   (Tx.req, Tx.resp) System.t
-(** A started Heron+TPCC deployment with one partition per warehouse. *)
+(** A started Heron+TPCC deployment with one partition per warehouse,
+    configured by {!config} (then [cfg_tweak]). *)
 
 val tpcc_gen :
   profile:Workload.profile ->
@@ -82,6 +89,7 @@ val run_ramcast :
   ?warmup:Time_ns.t ->
   ?measure:Time_ns.t ->
   ?replicas:int ->
+  ?metrics:Heron_obs.Metrics.t ->
   partitions:int ->
   clients:int ->
   gen_dst:(Random.State.t -> int list) ->
@@ -91,7 +99,7 @@ val run_ramcast :
 (** Throughput/latency of the atomic multicast alone (Figure 4's
     "Ramcast" series): clients multicast opaque messages and wait until
     every destination group delivered. [rs_window] covers the fabric's
-    registry. *)
+    registry: [metrics] when given, else a fresh one. *)
 
 val run_dynastar :
   ?seed:int ->

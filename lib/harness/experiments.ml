@@ -28,7 +28,7 @@ let clients_per_partition = 4
 
 (* {1 Figure 4} *)
 
-let fig4 ?(quick = false) () =
+let fig4 ?metrics ?(quick = false) () =
   let whs = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8; 16 ] in
   let warmup = Time_ns.ms (if quick then 4 else 10) in
   let measure = Time_ns.ms (if quick then 15 else 40) in
@@ -40,12 +40,12 @@ let fig4 ?(quick = false) () =
     (fun wh ->
       let clients = clients_per_partition * wh in
       let ramcast =
-        Driver.run_ramcast ~warmup ~measure ~partitions:wh ~clients
+        Driver.run_ramcast ?metrics ~warmup ~measure ~partitions:wh ~clients
           ~gen_dst:(null_dst ~partitions:wh) ~msg_bytes:200 ()
       in
       let null_run =
         let eng = Engine.create ~seed:2 () in
-        let cfg = Config.default ~partitions:wh ~replicas:3 in
+        let cfg = Driver.config ?metrics ~partitions:wh ~replicas:3 () in
         let sys = System.create eng ~cfg ~app:Driver.null_app in
         System.start sys;
         Driver.run_system ~warmup ~measure ~sys ~clients
@@ -56,13 +56,13 @@ let fig4 ?(quick = false) () =
       in
       let scale = Scale.bench ~warehouses:wh in
       let tpcc =
-        let sys = Driver.heron_tpcc_system ~scale () in
+        let sys = Driver.heron_tpcc_system ?metrics ~scale () in
         Driver.run_system ~warmup ~measure ~sys ~clients
           ~gen:(Driver.tpcc_gen ~profile:Workload.standard ~scale)
           ()
       in
       let local =
-        let sys = Driver.heron_tpcc_system ~seed:3 ~scale () in
+        let sys = Driver.heron_tpcc_system ?metrics ~seed:3 ~scale () in
         Driver.run_system ~warmup ~measure ~sys ~clients
           ~gen:(Driver.tpcc_gen ~profile:Workload.local_only ~scale)
           ()
@@ -80,7 +80,7 @@ let fig4 ?(quick = false) () =
 
 (* {1 Figure 5} *)
 
-let fig5 ?(quick = false) () =
+let fig5 ?metrics ?(quick = false) () =
   let whs = if quick then [ 1; 2 ] else [ 1; 2; 4; 8; 16 ] in
   let table =
     Table.make ~title:"Figure 5: Heron vs DynaStar (TPCC)"
@@ -102,7 +102,7 @@ let fig5 ?(quick = false) () =
         (* Two clients per partition: the knee of Heron's
            latency/throughput curve (the paper reports peak throughput
            at ~35 us latency, Table I). *)
-        let sys = Driver.heron_tpcc_system ~scale () in
+        let sys = Driver.heron_tpcc_system ?metrics ~scale () in
         Driver.run_system
           ~warmup:(Time_ns.ms (if quick then 4 else 10))
           ~measure:(Time_ns.ms (if quick then 15 else 40))
@@ -140,7 +140,7 @@ let fig5 ?(quick = false) () =
    replicas: they are on the reply's critical path, whereas supply-only
    partitions "coordinate" for as long as the home partition
    executes. *)
-let fig6 ?(quick = false) () =
+let fig6 ?metrics ?(quick = false) () =
   let measure = Time_ns.ms (if quick then 8 else 20) in
   let breakdown =
     Table.make
@@ -154,7 +154,7 @@ let fig6 ?(quick = false) () =
   in
   let scale = Scale.bench ~warehouses:4 in
   let run name gen =
-    let sys = Driver.heron_tpcc_system ~scale () in
+    let sys = Driver.heron_tpcc_system ?metrics ~scale () in
     let rs = Driver.run_system ~warmup:(Time_ns.ms 2) ~measure ~sys ~clients:1 ~gen () in
     let home = Driver.window_hist rs ~labels:[ ("part", "0") ] in
     (* Coordination per multi-partition request: its Phase 2 and Phase 4
@@ -191,7 +191,7 @@ let fig6 ?(quick = false) () =
 
 (* {1 Figure 7} *)
 
-let fig7 ?(quick = false) () =
+let fig7 ?metrics ?(quick = false) () =
   let measure = Time_ns.ms (if quick then 10 else 30) in
   let averages =
     Table.make ~title:"Figure 7 (left): latency per TPCC transaction type (us), 1 client"
@@ -204,7 +204,7 @@ let fig7 ?(quick = false) () =
   in
   let scale = Scale.bench ~warehouses:4 in
   let run name kind =
-    let sys = Driver.heron_tpcc_system ~scale () in
+    let sys = Driver.heron_tpcc_system ?metrics ~scale () in
     let rs =
       Driver.run_system ~warmup:(Time_ns.ms 2) ~measure ~sys ~clients:1
         ~gen:(fun ~client rng ->
@@ -242,7 +242,7 @@ let fig7 ?(quick = false) () =
 
 (* {1 Table I} *)
 
-let table1 ?(quick = false) () =
+let table1 ?metrics ?(quick = false) () =
   let table =
     Table.make
       ~title:
@@ -265,7 +265,7 @@ let table1 ?(quick = false) () =
     (fun (partitions, replicas) ->
       let scale = Scale.bench ~warehouses:partitions in
       let sys =
-        Driver.heron_tpcc_system ~replicas ~scale
+        Driver.heron_tpcc_system ?metrics ~replicas ~scale
           ~cfg_tweak:(fun c -> { c with Config.wait_phase4 = Config.Wait_all })
           ()
       in
@@ -341,12 +341,12 @@ let blob_app ~count ~size ~klass =
 (* Measure the state-transfer latency for [count] objects of [size]
    bytes in class [klass]: write them all through normal requests, then
    repeatedly run Algorithm 3 from replica 2 and time it. *)
-let measure_transfer ~count ~size ~klass ~repeats =
+let measure_transfer ?metrics ~count ~size ~klass ~repeats () =
   let eng = Engine.create ~seed:9 () in
   let cfg =
     (* Large transfers (up to ~200 MB for full-warehouse recovery) need
        a donor-selection timeout above the transfer time. *)
-    { (Config.default ~partitions:1 ~replicas:3) with
+    { (Driver.config ?metrics ~partitions:1 ~replicas:3 ()) with
       Config.statesync_timeout_ns = Time_ns.s 2 }
   in
   let sys = System.create eng ~cfg ~app:(blob_app ~count ~size ~klass) in
@@ -385,7 +385,7 @@ let measure_transfer ~count ~size ~klass ~repeats =
   if Sample_set.count samples < repeats then failwith "fig8: transfer did not complete";
   samples
 
-let fig8 ?(quick = false) () =
+let fig8 ?metrics ?(quick = false) () =
   let repeats = if quick then 3 else 5 in
   let table =
     Table.make ~title:"Figure 8: state transfer latency"
@@ -403,28 +403,29 @@ let fig8 ?(quick = false) () =
     Table.add_row table [ name; data; cell; sd_cell ]
   in
   row "Protocol (no data)" "0"
-    (measure_transfer ~count:0 ~size:1_024 ~klass:Versioned_store.Registered ~repeats);
+    (measure_transfer ?metrics ~count:0 ~size:1_024 ~klass:Versioned_store.Registered ~repeats ());
   row "Serialized" "64KB"
-    (measure_transfer ~count:64 ~size:1_024 ~klass:Versioned_store.Registered ~repeats);
+    (measure_transfer ?metrics ~count:64 ~size:1_024 ~klass:Versioned_store.Registered ~repeats ());
   row "Non-serialized" "64KB"
-    (measure_transfer ~count:64 ~size:1_024 ~klass:Versioned_store.Local ~repeats);
+    (measure_transfer ?metrics ~count:64 ~size:1_024 ~klass:Versioned_store.Local ~repeats ());
   row "Serialized" "640KB"
-    (measure_transfer ~count:640 ~size:1_024 ~klass:Versioned_store.Registered ~repeats);
+    (measure_transfer ?metrics ~count:640 ~size:1_024 ~klass:Versioned_store.Registered ~repeats ());
   row "Non-serialized" "640KB"
-    (measure_transfer ~count:640 ~size:1_024 ~klass:Versioned_store.Local ~repeats);
+    (measure_transfer ?metrics ~count:640 ~size:1_024 ~klass:Versioned_store.Local ~repeats ());
   row "Serialized" "6.4MB"
-    (measure_transfer ~count:800 ~size:8_192 ~klass:Versioned_store.Registered ~repeats);
+    (measure_transfer ?metrics ~count:800 ~size:8_192 ~klass:Versioned_store.Registered ~repeats ());
   row "Non-serialized" "6.4MB"
-    (measure_transfer ~count:800 ~size:8_192 ~klass:Versioned_store.Local ~repeats);
+    (measure_transfer ?metrics ~count:800 ~size:8_192 ~klass:Versioned_store.Local ~repeats ());
   if not quick then begin
     (* Full-warehouse recovery (Section V-E): 105.3 MB serialized +
        32.39 MB non-serialized, measured separately and summed. *)
     let ser =
-      measure_transfer ~count:3215 ~size:32_768 ~klass:Versioned_store.Registered
-        ~repeats:1
+      measure_transfer ?metrics ~count:3215 ~size:32_768
+        ~klass:Versioned_store.Registered ~repeats:1 ()
     in
     let non_ser =
-      measure_transfer ~count:989 ~size:32_768 ~klass:Versioned_store.Local ~repeats:1
+      measure_transfer ?metrics ~count:989 ~size:32_768 ~klass:Versioned_store.Local
+        ~repeats:1 ()
     in
     let total =
       int_of_float (Sample_set.mean ser) + int_of_float (Sample_set.mean non_ser)
@@ -448,7 +449,7 @@ let fig8 ?(quick = false) () =
    straggler catch up (few laggers / state transfers), no delay leaves
    it behind, waiting for all couples every request to the slowest
    replica. *)
-let ablation_grace ?(quick = false) () =
+let ablation_grace ?metrics ?(quick = false) () =
   let table =
     Table.make
       ~title:
@@ -466,7 +467,7 @@ let ablation_grace ?(quick = false) () =
   let scale = Scale.bench ~warehouses:2 in
   let run name wait =
     let sys =
-      Driver.heron_tpcc_system ~scale
+      Driver.heron_tpcc_system ?metrics ~scale
         ~cfg_tweak:(fun c -> { c with Config.wait_phase4 = wait })
         ()
     in
@@ -505,7 +506,7 @@ let ablation_grace ?(quick = false) () =
 
 (* {1 Parallel-execution ablation (Section III-D.1 extension)} *)
 
-let ablation_parallel ?(quick = false) () =
+let ablation_parallel ?metrics ?(quick = false) () =
   let table =
     Table.make
       ~title:
@@ -524,7 +525,7 @@ let ablation_parallel ?(quick = false) () =
             { Config.default_pipeline with Config.pipe_enabled = true; pipe_executors = n }
       in
       let sys =
-        Driver.heron_tpcc_system ~scale
+        Driver.heron_tpcc_system ?metrics ~scale
           ~cfg_tweak:(fun c -> { c with Config.pipeline })
           ()
       in
@@ -553,7 +554,7 @@ let ablation_parallel ?(quick = false) () =
    latencies across value sizes, and YCSB mixes across key
    distributions. *)
 
-let micro_kv ?(quick = false) () =
+let micro_kv ?metrics ?(quick = false) () =
   let open Heron_ycsb in
   let latency_table =
     Table.make ~title:"Microbenchmark (ext.): operation latency vs value size, 1 client"
@@ -564,7 +565,7 @@ let micro_kv ?(quick = false) () =
     (fun value_bytes ->
       let run kind =
         let eng = Engine.create ~seed:4 () in
-        let cfg = Config.default ~partitions:1 ~replicas:3 in
+        let cfg = Driver.config ?metrics ~partitions:1 ~replicas:3 () in
         let sys =
           System.create eng ~cfg ~app:(Ycsb_app.app ~records:64 ~value_bytes ~partitions:1)
         in
@@ -601,7 +602,7 @@ let micro_kv ?(quick = false) () =
       List.iter
         (fun (dname, dist) ->
           let eng = Engine.create ~seed:5 () in
-          let cfg = Config.default ~partitions:4 ~replicas:3 in
+          let cfg = Driver.config ?metrics ~partitions:4 ~replicas:3 () in
           let sys =
             System.create eng ~cfg
               ~app:(Ycsb_app.app ~records ~value_bytes:1024 ~partitions:4)

@@ -35,7 +35,9 @@ type 'a ctrl =
   | Submit of 'a msg_info
   | Propose of { p_uid : int; p_gid : int; p_ts : int }
   | Log_write of { entries : 'a delivery list }
-  | Ack of { a_uid : int }
+  | Ack of { a_uid : int; a_from : int; a_epoch : int; a_applied : int }
+      (* [a_from]/[a_epoch]: the acking member and its incarnation (the
+         slot the ack lands in); [a_applied]: its applied log length *)
   | Commit of { c_uids : int list }
 
 type 'a pending = {
@@ -48,7 +50,8 @@ type 'a pending = {
 
 type 'a commit = {
   cm_entries : 'a delivery list;
-  mutable cm_acks : int;
+  cm_first : int;  (* logical log index of the first entry *)
+  mutable cm_acked : int list;  (* followers that stored the entries *)
   cm_decided : Time_ns.t;  (* when the entries left the pending set *)
 }
 
@@ -59,6 +62,9 @@ type 'a member = {
   m_inbox : 'a ctrl Mailbox.t;
   m_deliveries : Heron_obs.Metrics.counter;  (* mcast.deliveries, shared *)
   mutable m_deliver : 'a delivery -> unit;
+  mutable m_applied : (unit -> Tstamp.t) option;
+      (* the consumer's applied frontier; None: delivering is applying *)
+  mutable m_applied_len : int;  (* logical length of the applied prefix *)
   (* Leader state (maintained lazily; meaningful while this member acts
      as leader, reconstructed on takeover). *)
   mutable m_clock : int;
@@ -75,6 +81,9 @@ type 'a member = {
   m_committed : (int, unit) Hashtbl.t;  (* uids safe to deliver *)
   mutable m_next_deliver : int;  (* logical index into the log *)
   mutable m_delivered : int;
+  m_reports : int array;
+      (* leader: the applied length each member last reported on an
+         ack; never above that member's current [m_applied_len] *)
 }
 
 type 'a group = { g_gid : int; g_members : 'a member array; mutable g_leader : int }
@@ -83,7 +92,7 @@ type obs = {
   ob_submits : Heron_obs.Metrics.counter;
   ob_rounds : Heron_obs.Metrics.counter;  (* timestamp proposal rounds *)
   ob_takeovers : Heron_obs.Metrics.counter;
-  ob_compacted : Heron_obs.Metrics.counter;  (* entries dropped by compact *)
+  ob_compacted : Heron_obs.Metrics.counter;  (* entries dropped by reclaim *)
   ob_rejoin_replayed : Heron_obs.Metrics.counter;  (* entries copied on restart *)
   ob_rejoin_bytes : Heron_obs.Metrics.counter;  (* payload bytes of those *)
 }
@@ -155,7 +164,7 @@ let leader_idx t ~gid = t.groups.(gid).g_leader
 let delivered_count t ~gid ~idx = t.groups.(gid).g_members.(idx).m_delivered
 
 (* Log indices are logical: physical slot = logical - m_log_start.
-   Compaction (see [compact]) drops a delivered-everywhere prefix by
+   Reclamation (see [reclaim]) drops an applied-everywhere prefix by
    advancing m_log_start; m_log_len and m_next_deliver keep counting
    from the beginning of time, so all cross-member comparisons are
    unchanged. *)
@@ -178,17 +187,17 @@ let debug_state t ~gid =
     (fun m ->
       Buffer.add_string b
         (Printf.sprintf
-           "  m%d alive=%b log_len=%d log_start=%d next_deliver=%d delivered=%d \
-            pending=%d commits=%d head_acks=%s committed=%d\n"
+           "  m%d alive=%b log_len=%d log_start=%d next_deliver=%d applied=%d \
+            delivered=%d pending=%d commits=%d head_acks=%s committed=%d\n"
            m.m_idx
            (Fabric.is_alive m.m_node)
-           m.m_log_len m.m_log_start m.m_next_deliver m.m_delivered
+           m.m_log_len m.m_log_start m.m_next_deliver m.m_applied_len m.m_delivered
            (Hashtbl.length m.m_pending)
            (Queue.length m.m_commits)
            (match Queue.peek_opt m.m_commits with
            | None -> "-"
            | Some c ->
-               Printf.sprintf "%d/%d(uid %s)" c.cm_acks
+               Printf.sprintf "%d/%d(uid %s)" (List.length c.cm_acked)
                  (List.length c.cm_entries)
                  (String.concat ","
                     (List.map (fun e -> string_of_int e.d_uid) c.cm_entries)))
@@ -237,11 +246,86 @@ let drain_follower (m : 'a member) =
     else continue_ := false
   done
 
+(* {1 Log reclamation}
+
+   The leader drops the log prefix that every live member's consumer
+   has applied, at every live member at once (a uniform cut). A
+   restarted member is covered up to its donor's applied frontier by
+   the layer above's state transfer, and the donor is a live member at
+   or past the cut, so a rejoiner only needs the suffix after it.
+   Followers report their applied length on the ack of each log write;
+   the leader adds its own and cuts at the minimum over live members.
+   Logical indices keep counting from the beginning of time, so the cut
+   is invisible to the protocol; only the entry memory is freed.
+   m_seen and m_committed are intentionally NOT pruned: a late
+   duplicate Submit for a dropped uid must still be recognized as seen,
+   or a future takeover could re-propose it under a new timestamp and
+   deliver it twice. *)
+
+(* Logical length of the prefix [m] has delivered. A leader appends an
+   entry when it decides it but delivers it at commit, so its queued
+   commits (a follower has none) are not delivered yet. *)
+let delivered_len (m : 'a member) =
+  match Queue.peek_opt m.m_commits with
+  | Some c -> c.cm_first
+  | None -> m.m_next_deliver
+
+(* Logical length of the prefix [m]'s consumer has applied. An entry
+   counts as applied once its delivered successor's timestamp is at or
+   below the applied frontier: a batched entry spans slot timestamps
+   above its own, all below its successor's. *)
+let applied_len (m : 'a member) =
+  let delivered = delivered_len m in
+  (match m.m_applied with
+  | None -> m.m_applied_len <- delivered
+  | Some frontier ->
+      let f = frontier () in
+      while
+        m.m_applied_len + 1 < delivered
+        && Tstamp.((log_get m (m.m_applied_len + 1)).d_tmp <= f)
+      do
+        m.m_applied_len <- m.m_applied_len + 1
+      done);
+  m.m_applied_len
+
+let ack (m : 'a member) ~uid =
+  Ack
+    { a_uid = uid; a_from = m.m_idx; a_epoch = Fabric.epoch m.m_node;
+      a_applied = applied_len m }
+
+(* Drop everything below logical index [k] at every live member. Every
+   live member's applied length is at least [k], so none loses an entry
+   it has yet to deliver. Compacting only once the droppable prefix is
+   half the retained log keeps the copy of the kept suffix amortised
+   O(1) per dropped entry. *)
+let reclaim t (lead : 'a member) =
+  let g = t.groups.(lead.m_gid) in
+  let k = ref (applied_len lead) in
+  Array.iter
+    (fun (m : 'a member) ->
+      if m.m_idx <> lead.m_idx && Fabric.is_alive m.m_node then
+        k := min !k lead.m_reports.(m.m_idx))
+    g.g_members;
+  let k = !k in
+  let dropped = k - lead.m_log_start in
+  if dropped > 0 && 2 * dropped >= log_retained_of lead then begin
+    Array.iter
+      (fun (m : 'a member) ->
+        if Fabric.is_alive m.m_node && m.m_log_start < k then begin
+          let drop = k - m.m_log_start in
+          m.m_compacted_tmp <- (log_get m (k - 1)).d_tmp;
+          m.m_log <- Array.sub m.m_log drop (log_retained_of m - drop);
+          m.m_log_start <- k
+        end)
+      g.g_members;
+    Heron_obs.Metrics.add t.obs.ob_compacted dropped
+  end
+
 let drain_commits t (m : 'a member) =
   let f = Array.length t.groups.(m.m_gid).g_members / 2 in
   let rec loop () =
     match Queue.peek_opt m.m_commits with
-    | Some c when c.cm_acks >= f ->
+    | Some c when List.length c.cm_acked >= f ->
         ignore (Queue.pop m.m_commits);
         List.iter (fun e -> Hashtbl.remove m.m_commit_of e.d_uid) c.cm_entries;
         (* Majority replication: decision until the leader's delivery. *)
@@ -264,7 +348,8 @@ let drain_commits t (m : 'a member) =
         loop ()
     | Some _ | None -> ()
   in
-  loop ()
+  loop ();
+  reclaim t m
 
 (* Turn a decided pending message into a log entry at the leader. *)
 let decide t (m : 'a member) (p : 'a pending) =
@@ -301,7 +386,10 @@ let replicate t (m : 'a member) entries =
       if fo.m_idx <> m.m_idx then
         post_ctrl t ~src:m.m_node ~dst:fo ~bytes (Log_write { entries }))
     t.groups.(m.m_gid).g_members;
-  let c = { cm_entries = entries; cm_acks = 0; cm_decided = now t } in
+  let c =
+    { cm_entries = entries; cm_first = m.m_log_len - List.length entries;
+      cm_acked = []; cm_decided = now t }
+  in
   List.iter (fun e -> Hashtbl.replace m.m_commit_of e.d_uid c) entries;
   Queue.push c m.m_commits;
   drain_commits t m
@@ -432,19 +520,27 @@ let handle_ctrl t (m : 'a member) ctrl =
       | last :: _ ->
           let lead = current_leader t m.m_gid in
           post_ctrl t ~src:m.m_node ~dst:lead ~bytes:t.cfg.ack_bytes
-            (Ack { a_uid = last.d_uid });
+            (ack m ~uid:last.d_uid);
           drain_follower m
       | [] -> ())
   | Commit { c_uids } ->
       List.iter (fun uid -> Hashtbl.replace m.m_committed uid ()) c_uids;
       drain_follower m
-  | Ack { a_uid } ->
+  | Ack { a_uid; a_from; a_epoch; a_applied } ->
       (* A uid is decided once, so at most one queued commit holds it;
-         an ack for a commit already delivered finds none. *)
+         an ack for a commit already delivered finds none. A follower
+         counts once per commit, also when it acks again after a
+         restart. *)
       Option.iter
-        (fun c -> c.cm_acks <- c.cm_acks + 1)
+        (fun c ->
+          if not (List.mem a_from c.cm_acked) then c.cm_acked <- a_from :: c.cm_acked)
         (Hashtbl.find_opt m.m_commit_of a_uid);
-      drain_commits t m
+      (* A report from an earlier incarnation of the member, still
+         queued here, says nothing about the log it holds now. *)
+      let from = t.groups.(m.m_gid).g_members.(a_from) in
+      if Fabric.epoch from.m_node = a_epoch && a_applied > m.m_reports.(a_from) then
+        m.m_reports.(a_from) <- a_applied;
+      if leader then drain_commits t m
 
 (* {1 Leader takeover} *)
 
@@ -526,53 +622,6 @@ let monitor_leader t (m : 'a member) =
   in
   loop ()
 
-(* {1 Log compaction}
-
-   Drop a prefix of the replicated log that (a) every live member has
-   already delivered and (b) lies at or below [upto] — the durability
-   layer's truncation frontier, itself behind every live replica's
-   published checkpoint. Logical indices (m_log_len, m_next_deliver)
-   keep counting from the beginning of time, so the cut is invisible to
-   the protocol; only the array prefix (the payload memory) is freed.
-   m_seen and m_committed are intentionally NOT pruned: a late
-   duplicate Submit for a compacted uid must still be recognized as
-   seen, or a future takeover could re-propose it under a new timestamp
-   and deliver it twice. *)
-
-let compact t ~gid ~upto =
-  let g = t.groups.(gid) in
-  (* Uniform cut: behind every live member's delivery point. Entries
-     are appended in (timestamp, uid) dispatch order, so the entries at
-     or below [upto] form a log prefix. *)
-  let cut = ref max_int in
-  Array.iter
-    (fun (m : 'a member) ->
-      if Fabric.is_alive m.m_node then cut := min !cut m.m_next_deliver)
-    g.g_members;
-  let lead = g.g_members.(g.g_leader) in
-  let k = ref lead.m_log_start in
-  while
-    !k < !cut && !k < lead.m_log_len
-    && Tstamp.((log_get lead !k).d_tmp <= upto)
-  do
-    incr k
-  done;
-  let k = !k in
-  let dropped = k - lead.m_log_start in
-  if dropped > 0 then begin
-    Array.iter
-      (fun (m : 'a member) ->
-        if Fabric.is_alive m.m_node && m.m_log_start < k then begin
-          let drop = k - m.m_log_start in
-          m.m_compacted_tmp <- (log_get m (k - 1)).d_tmp;
-          m.m_log <- Array.sub m.m_log drop (log_retained_of m - drop);
-          m.m_log_start <- k
-        end)
-      g.g_members;
-    Heron_obs.Metrics.add t.obs.ob_compacted dropped
-  end;
-  dropped
-
 let log_retained t ~gid ~idx = log_retained_of t.groups.(gid).g_members.(idx)
 
 (* {1 Construction and client API} *)
@@ -592,6 +641,8 @@ let create ?(config = default_config) ?tracing fab ~size_of ~groups =
         m_inbox = Mailbox.create ();
         m_deliveries = deliveries;
         m_deliver = ignore;
+        m_applied = None;
+        m_applied_len = 0;
         m_clock = 0;
         m_pending = Hashtbl.create 64;
         m_early = Hashtbl.create 64;
@@ -606,6 +657,7 @@ let create ?(config = default_config) ?tracing fab ~size_of ~groups =
         m_compacted_tmp = Tstamp.zero;
         m_next_deliver = 0;
         m_delivered = 0;
+        m_reports = Array.make (Array.length nodes) 0;
       }
     in
     { g_gid = gid; g_members = Array.mapi mk_member nodes; g_leader = 0 }
@@ -629,7 +681,10 @@ let create ?(config = default_config) ?tracing fab ~size_of ~groups =
     next_uid = 1;
   }
 
-let set_deliver t ~gid ~idx cb = t.groups.(gid).g_members.(idx).m_deliver <- cb
+let set_deliver ?applied t ~gid ~idx cb =
+  let m = t.groups.(gid).g_members.(idx) in
+  m.m_deliver <- cb;
+  m.m_applied <- applied
 
 let spawn_member_loops t (m : 'a member) =
   Fabric.spawn_on m.m_node (fun () ->
@@ -641,8 +696,9 @@ let spawn_member_loops t (m : 'a member) =
       loop ());
   Fabric.spawn_on m.m_node (fun () -> monitor_leader t m)
 
-let restart_member t ~gid ~idx ~deliver =
-  let m = t.groups.(gid).g_members.(idx) in
+let restart_member ?applied t ~gid ~idx ~deliver =
+  let g = t.groups.(gid) in
+  let m = g.g_members.(idx) in
   if not (Fabric.is_alive m.m_node) then
     invalid_arg "Ramcast.restart_member: node is not alive";
   if t.groups.(gid).g_leader = idx then
@@ -662,12 +718,16 @@ let restart_member t ~gid ~idx ~deliver =
   m.m_next_deliver <- 0;
   m.m_delivered <- 0;
   m.m_clock <- 0;
+  Array.fill m.m_reports 0 (Array.length m.m_reports) 0;
+  (* Until this incarnation reports, it holds the cut where it is. *)
+  Array.iter (fun (o : 'a member) -> o.m_reports.(idx) <- 0) g.g_members;
   (* Drain stale control traffic left from before the crash. *)
   let rec drain () =
     match Mailbox.try_recv m.m_inbox with Some _ -> drain () | None -> ()
   in
   drain ();
   m.m_deliver <- deliver;
+  m.m_applied <- applied;
   (* Log suffix sync, as on leader takeover: entries replicated while
      this member was down are never re-sent, and a recovery state
      transfer only covers what its donor had applied — an entry past
@@ -680,35 +740,44 @@ let restart_member t ~gid ~idx ~deliver =
      turn, so the snapshot is consistent), re-deliver the committed
      prefix — the replica skips whatever its transfer covered — and
      ack the in-flight tail so the leader can commit it. *)
-  let lead = t.groups.(gid).g_members.(t.groups.(gid).g_leader) in
+  let lead = g.g_members.(g.g_leader) in
   let retained = log_retained_of lead in
   m.m_log <- Array.sub lead.m_log 0 retained;
   m.m_log_start <- lead.m_log_start;
   m.m_compacted_tmp <- lead.m_compacted_tmp;
   m.m_log_len <- lead.m_log_len;
-  (* The compacted prefix counts as delivered: every dropped entry was
-     delivered at all live members before the cut, so the recovery
-     state transfer (from any live donor's checkpoint) covers it. *)
+  (* The reclaimed prefix counts as delivered and applied: every
+     dropped entry was applied at all live members before the cut, so
+     the recovery state transfer (from any live donor) covers it. *)
   m.m_next_deliver <- m.m_log_start;
+  m.m_applied_len <- m.m_log_start;
   (* Re-adopt the leader's dedup set wholesale, not just the retained
-     suffix's uids: a stale duplicate Submit for a compacted uid must
+     suffix's uids: a stale duplicate Submit for a dropped uid must
      never be re-proposable here after a future takeover. *)
   Hashtbl.iter (fun uid () -> Hashtbl.replace m.m_seen uid ()) lead.m_seen;
+  (* An entry still in one of the leader's queued commits waits for
+     acks: it is delivered on that commit's notice, like at any
+     follower. Every other entry of the leader's log is committed. *)
   let replay_bytes = ref 0 in
+  let in_flight = ref [] in
   for i = m.m_log_start to m.m_log_len - 1 do
     let e = log_get m i in
     replay_bytes := !replay_bytes + entry_bytes t e;
     Hashtbl.replace m.m_seen e.d_uid ();
     m.m_clock <- max m.m_clock e.d_tmp.Tstamp.clock;
-    if i < lead.m_next_deliver then Hashtbl.replace m.m_committed e.d_uid ()
+    match Hashtbl.find_opt lead.m_commit_of e.d_uid with
+    | None -> Hashtbl.replace m.m_committed e.d_uid ()
+    | Some c -> if not (List.memq c !in_flight) then in_flight := c :: !in_flight
   done;
   Heron_obs.Metrics.add t.obs.ob_rejoin_replayed retained;
   Heron_obs.Metrics.add t.obs.ob_rejoin_bytes !replay_bytes;
   drain_follower m;
-  for i = lead.m_next_deliver to m.m_log_len - 1 do
-    post_ctrl t ~src:m.m_node ~dst:lead ~bytes:t.cfg.ack_bytes
-      (Ack { a_uid = (log_get m i).d_uid })
-  done;
+  (* One ack per in-flight commit, as for a log write. *)
+  List.iter
+    (fun c ->
+      post_ctrl t ~src:m.m_node ~dst:lead ~bytes:t.cfg.ack_bytes
+        (ack m ~uid:(List.hd c.cm_entries).d_uid))
+    (List.rev !in_flight);
   spawn_member_loops t m
 
 let start t =

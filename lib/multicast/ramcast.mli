@@ -75,10 +75,22 @@ val create :
     final-timestamp decision) and [mcast.commit] (decision to majority
     replication and delivery) spans into the collector, one per pair. *)
 
-val set_deliver : 'a t -> gid:int -> idx:int -> ('a delivery -> unit) -> unit
+val set_deliver :
+  ?applied:(unit -> Tstamp.t) ->
+  'a t ->
+  gid:int ->
+  idx:int ->
+  ('a delivery -> unit) ->
+  unit
 (** Install the delivery callback of member [idx] of group [gid]. The
     callback runs on the member's node and must not block; push into a
-    mailbox for heavy work. Must be called before {!start}. *)
+    mailbox for heavy work. Must be called before {!start}.
+
+    [applied] reads the consumer's applied frontier: every delivered
+    position at or below it (batch slots included) has been applied, or
+    is covered by a state transfer of the layer above. It decides how
+    much of the log the member still needs (see {!log_retained});
+    without it, a delivered entry counts as applied. *)
 
 val start : 'a t -> unit
 (** Spawn every member's protocol process. *)
@@ -115,39 +127,40 @@ val dispatch_horizon : 'a t -> gid:int -> Tstamp.t
     sync or by the layer above's state transfer — lies at or before
     this point at the instant of the rejoin. *)
 
-val restart_member : 'a t -> gid:int -> idx:int -> deliver:('a delivery -> unit) -> unit
+val restart_member :
+  ?applied:(unit -> Tstamp.t) ->
+  'a t ->
+  gid:int ->
+  idx:int ->
+  deliver:('a delivery -> unit) ->
+  unit
 (** Rejoin a member whose node crashed and was recovered (a process
     restart loses all protocol state): reset its state, install a fresh
-    delivery callback, synchronise the replicated log from the current
-    leader (as a new leader does on takeover) and respawn its
-    processes. Entries the leader had already delivered are re-delivered
+    delivery callback and applied-frontier reader (as {!set_deliver}),
+    synchronise the replicated log from the current leader (as a new
+    leader does on takeover) and respawn its processes. Only the
+    retained suffix is copied. Its committed entries are re-delivered
     to the fresh callback — the layer above skips those its recovery
-    state transfer covers — and in-flight entries are stored and acked
-    so they can commit. When the log was compacted ({!compact}), only
-    the retained suffix is copied and re-delivered; the compacted
-    prefix is owed to the rejoiner by the layer above's checkpoint
-    bootstrap. The node must be alive and must not currently be the
-    group's leader.
+    state transfer covers, and owes the rejoiner the reclaimed prefix,
+    which every live member had applied. Entries of commits the leader
+    still waits on are stored and acked (once per commit) and delivered
+    on the commit notice. The node must be alive and must not currently
+    be the group's leader.
     Metrics: [mcast.rejoin_replayed], [mcast.rejoin_replay_bytes] —
     the per-rejoin replay cost the longhaul suite asserts is O(delta). *)
 
 val quorum : 'a t -> gid:int -> int
 (** f + 1 for the group. *)
 
-val compact : 'a t -> gid:int -> upto:Tstamp.t -> int
-(** [compact t ~gid ~upto] drops the prefix of the group's replicated
-    log that every {e live} member has already delivered and whose
-    timestamps are at or below [upto] — the durability layer calls this
-    with its update-log truncation frontier (behind every live
-    replica's published checkpoint, DESIGN.md §13), so a rejoining
-    member can always obtain the dropped prefix from a live donor's
-    checkpoint instead of the log. Logical log positions are preserved
-    (only the entry memory is freed) and uid dedup state is kept, so
-    the cut is invisible to the ordering protocol. Returns the number
-    of entries dropped (0 when nothing qualified).
-    Metrics: [mcast.compacted_entries]. *)
-
 val log_retained : 'a t -> gid:int -> idx:int -> int
 (** Entries currently held in one member's log array (its logical
-    length minus the compacted prefix) — the memory-footprint series
-    the longhaul suite asserts stays bounded. *)
+    length minus the reclaimed prefix) — the memory-footprint series
+    the chaos verdicts assert stays bounded. The leader reclaims the
+    prefix that every {e live} member's consumer has applied (each
+    follower reports its applied length on the ack of every log write;
+    a restarted member reports zero until it acks), at every live
+    member at once, whenever that prefix reaches half the retained log.
+    Logical log positions are preserved (only the entry memory is
+    freed) and uid dedup state is kept, so the cut is invisible to the
+    ordering protocol.
+    Metrics: [mcast.compacted_entries]. *)

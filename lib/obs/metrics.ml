@@ -110,7 +110,6 @@ type t = {
 }
 
 let create () = { tbl = Hashtbl.create 64; sorted = None }
-let default = create ()
 
 let norm_labels labels = List.sort compare labels
 

@@ -24,11 +24,8 @@ type t
 (** A registry. *)
 
 val create : unit -> t
-
-val default : t
-(** The process-wide registry. [Config.default] wires it into every
-    deployment so a whole benchmark run aggregates here; create a fresh
-    registry (and put it in the config) to isolate a run. *)
+(** A fresh, empty registry. There is no process-wide one: each
+    deployment records into the registry its configuration names. *)
 
 (** {1 Counters (monotonic)} *)
 

@@ -27,8 +27,9 @@ and link_fault = { mutable lf_extra_ns : int; mutable lf_drop : bool }
 
 type t = fabric
 
-let create ?(metrics = Heron_obs.Metrics.default) eng ~profile =
-  { eng; prof = profile; nodes = Hashtbl.create 16; next_node = 0; obs = metrics;
+let create ?metrics eng ~profile =
+  let obs = match metrics with Some m -> m | None -> Heron_obs.Metrics.create () in
+  { eng; prof = profile; nodes = Hashtbl.create 16; next_node = 0; obs;
     faults = Hashtbl.create 8 }
 
 let engine t = t.eng

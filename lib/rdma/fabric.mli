@@ -16,8 +16,7 @@ type node
 val create :
   ?metrics:Heron_obs.Metrics.t -> Heron_sim.Engine.t -> profile:Profile.t -> t
 (** [metrics] is the registry the fabric's queue pairs (and anything
-    else reading {!metrics}) record into; defaults to
-    [Heron_obs.Metrics.default]. *)
+    else reading {!metrics}) record into; defaults to a fresh one. *)
 
 val engine : t -> Heron_sim.Engine.t
 val profile : t -> Profile.t

@@ -14,7 +14,14 @@ let rec recv mb =
   match Queue.take_opt mb.items with
   | Some v -> v
   | None ->
-      Engine.suspend (fun wake -> Queue.push wake mb.readers);
+      (try Engine.suspend (fun wake -> Queue.push wake mb.readers)
+       with Engine.Cancelled as e ->
+         (* Woken after its fiber was cancelled (its node crashed): the
+            wakeup was for a message this reader will never take, so
+            pass it on, or a live reader waits for the next send. *)
+         if not (Queue.is_empty mb.items || Queue.is_empty mb.readers) then
+           (Queue.pop mb.readers) ();
+         raise e);
       recv mb
 
 let length mb = Queue.length mb.items

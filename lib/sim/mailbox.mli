@@ -13,7 +13,9 @@ val create : unit -> 'a t
 val send : 'a t -> 'a -> unit
 
 val recv : 'a t -> 'a
-(** Block until a message is available and dequeue it. *)
+(** Block until a message is available and dequeue it. A receiver
+    whose fiber was cancelled while it waited hands the wakeup of the
+    message that resumed it to the next waiting receiver. *)
 
 val try_recv : 'a t -> 'a option
 (** Dequeue a message if one is immediately available. *)

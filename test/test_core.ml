@@ -867,8 +867,8 @@ let on_client w name f =
   let node = System.new_client_node w.sys ~name in
   Fabric.spawn_on node (fun () -> f node)
 
-(* A fresh registry for a deployment whose replica series a test reads:
-   the default one accumulates every test of the process. *)
+(* A registry the test holds, for a deployment whose replica series it
+   reads. *)
 let own_metrics reg tweak c = tweak { c with Config.metrics = reg }
 
 (* A counter of a registry snapshot, summed over the series whose labels
@@ -2176,6 +2176,158 @@ let test_durability_truncation_races_migration () =
   check_bool "truncation kept pace" true
     (counter_of reg "durability.truncated_entries" > 0)
 
+(* {1 Multicast log reclamation, durability off}
+
+   The leader drops the log prefix every live replica has applied
+   (Ramcast.log_retained). Closed-loop clients keep at most one request
+   each in flight, so what a member retains is bounded by the client
+   count, however long the run. *)
+
+let retained_max sys =
+  let mc = System.multicast sys in
+  let worst = ref 0 in
+  Array.iter
+    (Array.iter (fun r ->
+         if Fabric.is_alive (Replica.node r) then
+           worst :=
+             max !worst
+               (Heron_multicast.Ramcast.log_retained mc ~gid:(Replica.part r)
+                  ~idx:(Replica.idx r))))
+    (System.replicas sys);
+  !worst
+
+(* Sample [retained_max] every 20 us until [until], from a node of its
+   own. *)
+let sample_retained w ~until =
+  let samples = ref [] in
+  on_client w "sampler" (fun _ ->
+      while Engine.self_now () < until do
+        Engine.sleep (Time_ns.us 20);
+        samples := (Engine.self_now (), retained_max w.sys) :: !samples
+      done);
+  samples
+
+(* Retention bound for [clients] closed-loop clients: about [2 x
+   clients] entries lie past the slowest member's last reported applied
+   length (the requests in flight when it reported and those decided
+   since), and the leader reclaims once that much is half the log. *)
+let retained_bound ~clients = 4 * clients
+
+let test_reclaim_bounded () =
+  let reg = Heron_obs.Metrics.create () in
+  let clients = 4 and per_client = 1_000 in
+  let w = make_kv ~seed:41 ~keys:8 ~tweak:(fun c -> { c with Config.metrics = reg }) () in
+  let samples = sample_retained w ~until:(Time_ns.ms 100) in
+  let completed = ref 0 in
+  for c = 0 to clients - 1 do
+    on_client w (Printf.sprintf "c%d" c) (fun node ->
+        let rng = Random.State.make [| c |] in
+        for _ = 1 to per_client do
+          let k = Random.State.int rng 8 in
+          let req =
+            if Random.State.int rng 4 = 0 then Kv_app.Incr_all [ k; (k + 1) mod 8 ]
+            else Kv_app.Add (k, 1L)
+          in
+          ignore (System.submit w.sys ~from:node req);
+          incr completed
+        done)
+  done;
+  Engine.run_until w.eng (Time_ns.s 5);
+  check_int "all requests completed" (clients * per_client) !completed;
+  let peak = List.fold_left (fun acc (_, n) -> max acc n) 0 !samples in
+  check_bool
+    (Printf.sprintf "peak retention %d within %d" peak (retained_bound ~clients))
+    true
+    (peak <= retained_bound ~clients);
+  check_bool "the log was reclaimed" true
+    (counter_of reg "mcast.compacted_entries" > clients * per_client)
+
+let test_reclaim_paused_follower () =
+  (* p0/r2 executes 20 us slower per request for 3 ms: it applies
+     behind its peers, so the cut stays at its applied length and the
+     leader's log grows; once it catches up the log is reclaimed. *)
+  let clients = 4 in
+  let w = make_kv ~seed:43 ~keys:8 () in
+  let samples = sample_retained w ~until:(Time_ns.ms 10) in
+  let lagger = System.replica w.sys ~part:0 ~idx:2 in
+  for c = 0 to clients - 1 do
+    on_client w (Printf.sprintf "c%d" c) (fun node ->
+        for i = 1 to 600 do
+          (* Even keys live in partition 0. *)
+          ignore (System.submit w.sys ~from:node (Kv_app.Add (2 * ((c + i) mod 4), 1L)))
+        done)
+  done;
+  on_client w "pauser" (fun _ ->
+      Engine.sleep (Time_ns.ms 2);
+      Replica.inject_exec_delay lagger (Time_ns.us 20);
+      Engine.sleep (Time_ns.ms 3);
+      Replica.inject_exec_delay lagger 0);
+  Engine.run_until w.eng (Time_ns.s 5);
+  let peak_in lo hi =
+    List.fold_left
+      (fun acc (t, n) -> if t >= lo && t < hi then max acc n else acc)
+      0 !samples
+  in
+  let bound = retained_bound ~clients in
+  let before = peak_in 0 (Time_ns.ms 2)
+  and paused = peak_in (Time_ns.ms 2) (Time_ns.ms 5)
+  and after = peak_in (Time_ns.ms 6) (Time_ns.ms 9) in
+  check_bool (Printf.sprintf "within %d before the pause (%d)" bound before) true
+    (before <= bound);
+  check_bool (Printf.sprintf "the lagger holds the cut (%d)" paused) true
+    (paused > 4 * bound);
+  check_bool (Printf.sprintf "reclaimed after the catch-up (%d)" after) true
+    (after <= bound)
+
+let test_reclaim_rejoin () =
+  (* A follower crashes, the live members reclaim past its crash
+     point, and it rejoins from a donor's snapshot plus the retained
+     suffix. The Incr_all workload is order-independent, so the final
+     state must equal a durability-on run's under the same schedule. *)
+  let run durable =
+    let reg = Heron_obs.Metrics.create () in
+    let w =
+      make_kv ~seed:47 ~keys:4 ~partitions:2 ~init:0L
+        ~tweak:(fun c -> if durable then dur_tweak reg c else { c with Config.metrics = reg })
+        ()
+    in
+    let victim = Replica.node (System.replica w.sys ~part:0 ~idx:2) in
+    let compacted_at_restart = ref 0 in
+    let completed = ref 0 in
+    for c = 0 to 2 do
+      on_client w (Printf.sprintf "c%d" c) (fun node ->
+          for _ = 1 to 200 do
+            ignore (System.submit w.sys ~from:node (Kv_app.Incr_all [ 0; 1; 2; 3 ]));
+            incr completed
+          done)
+    done;
+    on_client w "bouncer" (fun _ ->
+        Engine.sleep (Time_ns.us 500);
+        Fabric.crash victim;
+        Engine.sleep (Time_ns.ms 2);
+        compacted_at_restart := counter_of reg "mcast.compacted_entries";
+        System.restart_replica w.sys ~part:0 ~idx:2);
+    Engine.run_until w.eng (Time_ns.s 5);
+    check_int "all ops completed" 600 !completed;
+    assert_replicas_converged w;
+    let state =
+      List.concat_map
+        (fun part ->
+          let st = Replica.store (System.replica w.sys ~part ~idx:2) in
+          List.map
+            (fun oid -> (part, Oid.to_int oid, Bytes.to_string (fst (Versioned_store.get st oid))))
+            (Versioned_store.registered_oids st))
+        [ 0; 1 ]
+    in
+    (state, !compacted_at_restart, counter_of reg "mcast.rejoin_replayed")
+  in
+  let s_off, compacted, replayed = run false in
+  let s_on, _, _ = run true in
+  check_bool "reclaimed while the follower was down" true (compacted > 100);
+  check_bool (Printf.sprintf "the rejoin replayed a suffix (%d entries)" replayed) true
+    (replayed < 100);
+  check_bool "same final state as with durability on" true (s_off = s_on)
+
 (* {1 Fast reads: lease-based local linearizable reads (DESIGN.md §14)} *)
 
 let fr_tweak ?(write_wait = true) reg c =
@@ -2393,6 +2545,12 @@ let suite =
       ] );
     ( "core.coordination",
       [ tc "one doorbell per fan-out" test_one_doorbell_fanout ] );
+    ( "core.reclaim",
+      [
+        tc "multicast log bounded by the client count" test_reclaim_bounded;
+        tc "paused follower holds the cut" test_reclaim_paused_follower;
+        tc "rejoin after reclamation" test_reclaim_rejoin;
+      ] );
     ( "core.durability",
       [
         tc "durability on/off equivalence" test_durability_onoff_equivalence;

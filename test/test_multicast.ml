@@ -393,6 +393,38 @@ let test_leader_failover_batch_in_flight () =
       (List.map (fun d -> d.Ramcast.d_payload) (seq w 1 i))
   done
 
+let test_restart_with_commit_in_flight () =
+  (* A follower rejoins while the leader's commit of "x" is short of a
+     majority: replica 2 is down and the write to replica 1 is slowed
+     by 1 ms. The rejoiner copies "x" from the leader's log but must
+     deliver it only on the commit notice; its own ack is what lets the
+     leader commit, long before replica 1's write lands. *)
+  let w = make_world ~n_groups:1 ~n_replicas:3 ~n_clients:1 () in
+  let id i = Fabric.node_id w.nodes.(0).(i) in
+  Fabric.crash w.nodes.(0).(2);
+  Fabric.set_link_fault w.fab ~src:(id 0) ~dst:(id 1) ~extra_ns:(Time_ns.ms 1) ();
+  submit_all w [ (0, [ 0 ], "x") ];
+  let rejoined = ref [] in
+  let at_restart = ref (-1) in
+  Engine.schedule ~delay:(Time_ns.us 100) w.eng (fun () ->
+      Fabric.recover w.nodes.(0).(2);
+      Ramcast.restart_member w.sys ~gid:0 ~idx:2 ~deliver:(fun d ->
+          rejoined := (d.Ramcast.d_payload, Engine.now w.eng) :: !rejoined);
+      at_restart := List.length !rejoined);
+  Engine.run_until w.eng (Time_ns.us 500);
+  check_int "nothing delivered at the rejoin" 0 !at_restart;
+  Alcotest.(check (list string))
+    "leader committed on the rejoiner's ack" [ "x" ]
+    (List.map (fun d -> d.Ramcast.d_payload) (seq w 0 0));
+  (match !rejoined with
+  | [ ("x", t) ] -> check_bool "rejoiner delivered after the rejoin" true (t > Time_ns.us 100)
+  | _ -> Alcotest.fail "rejoiner did not deliver x exactly once");
+  check_int "replica 1 has not stored x yet" 0 (Ramcast.log_retained w.sys ~gid:0 ~idx:1);
+  Engine.run_until w.eng (Time_ns.ms 5);
+  Alcotest.(check (list string))
+    "replica 1 delivers x too" [ "x" ]
+    (List.map (fun d -> d.Ramcast.d_payload) (seq w 0 1))
+
 (* {1 Replication writes} *)
 
 let test_lone_entry_no_batch_header () =
@@ -567,6 +599,7 @@ let suite =
         tc "leader failover" test_leader_failover;
         tc "leader failover multi-group" test_leader_failover_multi_group;
         tc "leader failover, batch in flight" test_leader_failover_batch_in_flight;
+        tc "restart, commit in flight" test_restart_with_commit_in_flight;
       ] );
     ( "multicast.writes",
       [

@@ -178,17 +178,85 @@ let divergence sys =
     (System.replicas sys);
   !problem
 
+(* Stall windows: the spans in which a live replica may legitimately
+   fall behind and hold back the multicast log's reclamation cut, which
+   waits for every live replica's applied frontier. A pause, delay or
+   drop holds it for its span. A crash holds it from the crash (the
+   crashed replica's peers in other partitions wait on it) until as
+   long again after its restart (the rejoiner catches up); a crash
+   that is never restarted holds it to the end of the run. Overlapping
+   windows merge, since a replica behind in one does not catch up
+   before the next one ends. Returns sorted, disjoint [(start, stop)]
+   spans; [stop = max_int] is open-ended. *)
+let stall_windows sc =
+  let spans =
+    List.concat_map
+      (function
+        | S.Pause_replica { at; span; _ } | S.Delay_link { at; span; _ }
+        | S.Drop_writes { at; span; _ } ->
+            [ (at, at + span) ]
+        | S.Crash { part; idx; at } ->
+            let back =
+              List.fold_left
+                (fun back -> function
+                  | S.Restart r when r.part = part && r.idx = idx && r.at >= at ->
+                      min back r.at
+                  | _ -> back)
+                max_int sc.S.sc_events
+            in
+            [ (at, if back = max_int then max_int else back + (back - at)) ]
+        | _ -> [])
+      sc.S.sc_events
+  in
+  List.fold_left
+    (fun acc (a, b) ->
+      match acc with
+      | (a', b') :: rest when a <= b' -> (a', max b b') :: rest
+      | _ -> (a, b) :: acc)
+    [] (List.sort compare spans)
+  |> List.rev
+
+(* Count the multicasts issued inside each stall window as the run
+   goes (every multicast: client requests, lease grants, migration and
+   reshard commands alike). The returned reader gives the most issued
+   in any one window; a window still open when it is read counts up to
+   then. *)
+let watch_stalls sys cfg sc =
+  let eng = System.engine sys in
+  let submits = Metrics.counter cfg.Config.metrics "mcast.submits" in
+  let windows =
+    List.map
+      (fun (a, b) ->
+        let first = ref (-1) and last = ref (-1) in
+        Engine.schedule ~delay:a eng (fun () -> first := Metrics.counter_value submits);
+        if b < max_int then
+          Engine.schedule ~delay:b eng (fun () -> last := Metrics.counter_value submits);
+        (first, last))
+      (stall_windows sc)
+  in
+  fun () ->
+    let now = Metrics.counter_value submits in
+    List.fold_left
+      (fun acc (first, last) ->
+        if !first < 0 then acc
+        else max acc ((if !last < 0 then now else !last) - !first))
+      0 windows
+
 (* Bounded-memory verdict (DESIGN.md §13): a run that linearizes but
    whose logs grew with history, or whose rejoins replayed O(history),
    failed the point of reclaiming them. Bounds are derived from the
-   schedule itself: with traffic paced across the horizon, one
-   checkpoint interval sees about [total ops x interval / horizon]
-   updates, and both retained-log footprints and per-rejoin replay must
-   stay within a few intervals' worth — independent of run length. The
-   multicast log is reclaimed with durability on or off, so its
-   retention is judged on every run; the checkpoint, update-log and
-   rejoin-replay bounds on [longhaul] runs only. *)
-let check_bounded ~longhaul sys cfg sc =
+   schedule itself. The multicast log is reclaimed with durability on
+   or off, so its retention is judged on every run: the cut lags the
+   slowest live replica by at most one entry per client plus what was
+   issued during the longest stall window ([stalled]), and the leader
+   compacts once the droppable prefix is half the log, so a member
+   retains at most twice that. For the checkpoint, update-log and
+   rejoin-replay bounds, judged on [longhaul] runs only, traffic is
+   paced across the horizon, so one checkpoint interval sees about
+   [total ops x interval / horizon] updates, and both retained-log
+   footprints and per-rejoin replay must stay within a few intervals'
+   worth — independent of run length. *)
+let check_bounded ~longhaul ~stalled sys cfg sc =
   let reg = cfg.Config.metrics in
   let snap = Metrics.snapshot reg in
   let counter name =
@@ -203,7 +271,7 @@ let check_bounded ~longhaul sys cfg sc =
   let expected = sc.S.sc_clients * sc.S.sc_ops in
   let per_window = expected * interval / sc.S.sc_horizon_ns in
   let len_bound = 48 + (8 * per_window) in
-  let mcast_bound = 2 * len_bound in
+  let mcast_bound = 2 * (sc.S.sc_clients + stalled) in
   let restarts =
     List.length
       (List.filter (function S.Restart _ -> true | _ -> false) sc.S.sc_events)
@@ -342,6 +410,7 @@ let run_exn ?inspect sc =
   done;
   let skipped = Metrics.counter cfg.Config.metrics "chaos.injections_skipped" in
   List.iter (inject sys ~skipped) sc.S.sc_events;
+  let stalled = watch_stalls sys cfg sc in
   (* Advance in short steps so a finished run does not simulate the
      whole horizon's worth of failure-detector polling. *)
   let step = max (Time_ns.ms 2) (horizon / 512) in
@@ -421,7 +490,7 @@ let run_exn ?inspect sc =
               | Error detail -> Failed (Not_linearizable { detail })
               | Ok () -> (
                   (match inspect with Some f -> f sys | None -> ());
-                  match check_bounded ~longhaul sys cfg sc with
+                  match check_bounded ~longhaul ~stalled:(stalled ()) sys cfg sc with
                   | Some detail -> Failed (Unbounded { detail })
                   | None -> Completed { completed = !completed })))
   end

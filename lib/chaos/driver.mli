@@ -15,14 +15,17 @@
       linearization ({!Heron_lincheck.Lincheck}); the detail carries
       the shortest failing prefix.
     - {b Unbounded} — the run linearized but a live member's multicast
-      log retained more than a few checkpoint intervals' worth of
-      entries (every run: the log is reclaimed with durability on or
-      off), or, on longhaul runs (DESIGN.md §13), the durability layer
-      failed its point — no checkpoint or truncation ever happened, the
-      update log exceeded that bound, or rejoins replayed more than
-      O(delta). Bounds are derived from the schedule's own rate (ops,
-      think time, horizon), so they are length-independent: a
-      linearly-growing log fails on any sufficiently long schedule.
+      log retained more than twice the schedule's clients plus the
+      multicasts issued during its longest stall window (a pause, delay
+      or drop span, or a crash until as long again after its restart;
+      every run: the log is reclaimed with durability on or off), or,
+      on longhaul runs (DESIGN.md §13), the durability layer failed its
+      point — no checkpoint or truncation ever happened, the update log
+      exceeded a few checkpoint intervals' worth of entries, or rejoins
+      replayed more than O(delta). The longhaul bounds are derived from
+      the schedule's own rate (ops, think time, horizon), so they are
+      length-independent: a linearly-growing log fails on any
+      sufficiently long schedule.
     - {b Crashed} — an exception escaped the simulated system (an
       assertion or array bound inside protocol code, not the harness);
       the detail carries the exception text.

@@ -55,6 +55,45 @@ type 'a commit = {
   cm_decided : Time_ns.t;  (* when the entries left the pending set *)
 }
 
+(* {1 Seen-uid set}
+
+   The uids dispatched or delivered at one member, one bit per uid.
+   [multicast] issues uids densely from 1 (a batch's reserved slots are
+   never looked up), so a bitmap indexed by uid is exact and costs one
+   bit per issued uid where a hash table paid about 40 bytes per
+   delivered one. It grows by doubling and is never pruned (see
+   {!reclaim}). *)
+module Uidset = struct
+  type t = { mutable bits : Bytes.t }
+
+  let create () = { bits = Bytes.empty }
+
+  let mem s uid =
+    let byte = uid lsr 3 in
+    byte < Bytes.length s.bits
+    && Char.code (Bytes.unsafe_get s.bits byte) land (1 lsl (uid land 7)) <> 0
+
+  let add s uid =
+    let byte = uid lsr 3 in
+    let len = Bytes.length s.bits in
+    if byte >= len then begin
+      let cap = ref (max 64 (2 * len)) in
+      while byte >= !cap do
+        cap := 2 * !cap
+      done;
+      let bits = Bytes.make !cap '\000' in
+      Bytes.blit s.bits 0 bits 0 len;
+      s.bits <- bits
+    end;
+    let b = Char.code (Bytes.unsafe_get s.bits byte) in
+    Bytes.unsafe_set s.bits byte (Char.unsafe_chr (b lor (1 lsl (uid land 7))))
+
+  let clear s = s.bits <- Bytes.empty
+
+  (* Make [dst] hold exactly the uids of [src]. *)
+  let copy ~src dst = dst.bits <- Bytes.copy src.bits
+end
+
 type 'a member = {
   m_gid : int;
   m_idx : int;
@@ -73,7 +112,7 @@ type 'a member = {
   m_submits : (int, 'a msg_info) Hashtbl.t;  (* follower stash *)
   m_commits : 'a commit Queue.t;
   m_commit_of : (int, 'a commit) Hashtbl.t;  (* uid -> its queued commit *)
-  m_seen : (int, unit) Hashtbl.t;  (* uids dispatched or delivered here *)
+  m_seen : Uidset.t;  (* uids dispatched or delivered here *)
   mutable m_log : 'a delivery array;  (* retained entries, in leader order *)
   mutable m_log_len : int;  (* logical length: compacted + retained *)
   mutable m_log_start : int;  (* logical index of m_log.(0) (compacted prefix) *)
@@ -257,10 +296,12 @@ let drain_follower (m : 'a member) =
    the leader adds its own and cuts at the minimum over live members.
    Logical indices keep counting from the beginning of time, so the cut
    is invisible to the protocol; only the entry memory is freed.
-   m_seen and m_committed are intentionally NOT pruned: a late
-   duplicate Submit for a dropped uid must still be recognized as seen,
-   or a future takeover could re-propose it under a new timestamp and
-   deliver it twice. *)
+   The seen-uid set is intentionally NOT pruned: a late duplicate
+   Submit for a dropped uid must still be recognized as seen, or a
+   future takeover could re-propose it under a new timestamp and
+   deliver it twice. As a bitmap ({!Uidset}) it still grows with
+   history, by one bit per issued uid; a per-origin watermark would
+   bound it (DESIGN.md §13). *)
 
 (* Logical length of the prefix [m] has delivered. A leader appends an
    entry when it decides it but delivers it at commit, so its queued
@@ -365,7 +406,7 @@ let decide t (m : 'a member) (p : 'a pending) =
      message left the pending set with its final timestamp. *)
   req_span t ~stage:"mcast.order" ~gid:m.m_gid ~start:p.pn_arrived
     ~stop:(now t) entry.d_payload;
-  Hashtbl.replace m.m_seen entry.d_uid ();
+  Uidset.add m.m_seen entry.d_uid;
   Hashtbl.remove m.m_pending entry.d_uid;
   Hashtbl.remove m.m_early entry.d_uid;
   log_push m entry;
@@ -477,9 +518,9 @@ let propose t (m : 'a member) (mi : 'a msg_info) ~reuse =
 
 (* Follower: store a replicated entry; true if it was new. *)
 let accept_entry (m : 'a member) entry =
-  if Hashtbl.mem m.m_seen entry.d_uid then false
+  if Uidset.mem m.m_seen entry.d_uid then false
   else begin
-    Hashtbl.replace m.m_seen entry.d_uid ();
+    Uidset.add m.m_seen entry.d_uid;
     Hashtbl.remove m.m_submits entry.d_uid;
     Hashtbl.remove m.m_early entry.d_uid;
     m.m_clock <- max m.m_clock entry.d_tmp.Tstamp.clock;
@@ -497,13 +538,13 @@ let handle_ctrl t (m : 'a member) ctrl =
   let leader = is_leader t m in
   match ctrl with
   | Submit mi ->
-      if Hashtbl.mem m.m_seen mi.mi_uid || Hashtbl.mem m.m_pending mi.mi_uid
+      if Uidset.mem m.m_seen mi.mi_uid || Hashtbl.mem m.m_pending mi.mi_uid
       then ()
       else if leader then propose t m mi ~reuse:None
       else Hashtbl.replace m.m_submits mi.mi_uid mi
   | Propose { p_uid; p_gid; p_ts } ->
       m.m_clock <- max m.m_clock p_ts;
-      if Hashtbl.mem m.m_seen p_uid then ()
+      if Uidset.mem m.m_seen p_uid then ()
       else if leader then begin
         match Hashtbl.find_opt m.m_pending p_uid with
         | Some p ->
@@ -568,8 +609,8 @@ let takeover t (m : 'a member) =
            with Qp.Rdma_exception _ -> ());
           List.iter
             (fun e ->
-              if not (Hashtbl.mem m.m_seen e.d_uid) then begin
-                Hashtbl.replace m.m_seen e.d_uid ();
+              if not (Uidset.mem m.m_seen e.d_uid) then begin
+                Uidset.add m.m_seen e.d_uid;
                 m.m_clock <- max m.m_clock e.d_tmp.Tstamp.clock;
                 log_push m e
               end)
@@ -592,7 +633,7 @@ let takeover t (m : 'a member) =
   List.iter
     (fun (uid, mi) ->
       Hashtbl.remove m.m_submits uid;
-      if not (Hashtbl.mem m.m_seen uid) then begin
+      if not (Uidset.mem m.m_seen uid) then begin
         let reuse =
           match Hashtbl.find_opt m.m_early uid with
           | Some props -> List.assoc_opt m.m_gid props
@@ -624,6 +665,10 @@ let monitor_leader t (m : 'a member) =
 
 let log_retained t ~gid ~idx = log_retained_of t.groups.(gid).g_members.(idx)
 
+let seen_bytes t ~gid ~idx =
+  Obj.reachable_words (Obj.repr t.groups.(gid).g_members.(idx).m_seen)
+  * (Sys.word_size / 8)
+
 (* {1 Construction and client API} *)
 
 let create ?(config = default_config) ?tracing fab ~size_of ~groups =
@@ -649,7 +694,7 @@ let create ?(config = default_config) ?tracing fab ~size_of ~groups =
         m_submits = Hashtbl.create 64;
         m_commits = Queue.create ();
         m_commit_of = Hashtbl.create 64;
-        m_seen = Hashtbl.create 256;
+        m_seen = Uidset.create ();
         m_log = [||];
         m_committed = Hashtbl.create 256;
         m_log_len = 0;
@@ -709,7 +754,7 @@ let restart_member ?applied t ~gid ~idx ~deliver =
   Hashtbl.reset m.m_submits;
   Queue.clear m.m_commits;
   Hashtbl.reset m.m_commit_of;
-  Hashtbl.reset m.m_seen;
+  Uidset.clear m.m_seen;
   Hashtbl.reset m.m_committed;
   m.m_log <- [||];
   m.m_log_len <- 0;
@@ -753,8 +798,9 @@ let restart_member ?applied t ~gid ~idx ~deliver =
   m.m_applied_len <- m.m_log_start;
   (* Re-adopt the leader's dedup set wholesale, not just the retained
      suffix's uids: a stale duplicate Submit for a dropped uid must
-     never be re-proposable here after a future takeover. *)
-  Hashtbl.iter (fun uid () -> Hashtbl.replace m.m_seen uid ()) lead.m_seen;
+     never be re-proposable here after a future takeover. The leader's
+     set holds every uid of its log, so the copied suffix is covered. *)
+  Uidset.copy ~src:lead.m_seen m.m_seen;
   (* An entry still in one of the leader's queued commits waits for
      acks: it is delivered on that commit's notice, like at any
      follower. Every other entry of the leader's log is committed. *)
@@ -763,7 +809,6 @@ let restart_member ?applied t ~gid ~idx ~deliver =
   for i = m.m_log_start to m.m_log_len - 1 do
     let e = log_get m i in
     replay_bytes := !replay_bytes + entry_bytes t e;
-    Hashtbl.replace m.m_seen e.d_uid ();
     m.m_clock <- max m.m_clock e.d_tmp.Tstamp.clock;
     match Hashtbl.find_opt lead.m_commit_of e.d_uid with
     | None -> Hashtbl.replace m.m_committed e.d_uid ()

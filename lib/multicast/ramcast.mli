@@ -161,6 +161,13 @@ val log_retained : 'a t -> gid:int -> idx:int -> int
     a restarted member reports zero until it acks), at every live
     member at once, whenever that prefix reaches half the retained log.
     Logical log positions are preserved (only the entry memory is
-    freed) and uid dedup state is kept, so the cut is invisible to the
-    ordering protocol.
+    freed) and every member keeps recognizing the dropped uids (see
+    {!seen_bytes}), so the cut is invisible to the ordering protocol.
     Metrics: [mcast.compacted_entries]. *)
+
+val seen_bytes : 'a t -> gid:int -> idx:int -> int
+(** Host bytes reachable from one member's seen-uid set, the dedup
+    state that outlives reclamation: a late duplicate submit of a
+    reclaimed uid must still be ignored. It is a bitmap indexed by
+    uid, one bit per uid issued so far, grown by doubling (tests pin
+    the footprint). *)

@@ -425,6 +425,65 @@ let test_restart_with_commit_in_flight () =
     "replica 1 delivers x too" [ "x" ]
     (List.map (fun d -> d.Ramcast.d_payload) (seq w 0 1))
 
+let test_late_submit_after_reclaim () =
+  (* The client's submits reach replica 1 1 ms late, so replica 1
+     stores "x" from the leader's log write long before x's own Submit
+     lands, and by then the log is reclaimed past "x". The late Submit
+     must still be recognized as seen: stashed instead, it would be
+     re-proposed, and delivered a second time, when replica 1 takes over
+     from the crashed leader. A run of one message never reclaims, so
+     it cannot tell. *)
+  let w = make_world ~n_groups:1 ~n_replicas:3 ~n_clients:1 () in
+  let client = w.clients.(0) in
+  Fabric.set_link_fault w.fab ~src:(Fabric.node_id client)
+    ~dst:(Fabric.node_id w.nodes.(0).(1)) ~extra_ns:(Time_ns.ms 1) ();
+  let payloads = "x" :: List.init 40 (Printf.sprintf "m%d") in
+  submit_all w (List.map (fun p -> (0, [ 0 ], p)) payloads);
+  let reclaimed_past_x = ref [] in
+  Engine.schedule ~delay:(Time_ns.us 900) w.eng (fun () ->
+      reclaimed_past_x :=
+        List.map
+          (fun idx ->
+            Ramcast.delivered_count w.sys ~gid:0 ~idx
+            > Ramcast.log_retained w.sys ~gid:0 ~idx)
+          [ 0; 1; 2 ]);
+  Engine.schedule ~delay:(Time_ns.ms 3) w.eng (fun () -> Fabric.crash w.nodes.(0).(0));
+  Engine.run_until w.eng (Time_ns.ms 20);
+  Alcotest.(check (list bool))
+    "log reclaimed past x before its late submit lands" [ true; true; true ]
+    !reclaimed_past_x;
+  check_int "replica 1 took over" 1 (Ramcast.leader_idx w.sys ~gid:0);
+  List.iter
+    (fun i ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "replica %d delivers each message once" i)
+        payloads
+        (List.map (fun d -> d.Ramcast.d_payload) (seq w 0 i)))
+    [ 1; 2 ]
+
+(* The seen-uid set costs one bit per issued uid. 4,000 uids fill 500
+   of the bitmap's 512 bytes (it grows by doubling); the constant covers
+   the record and block headers. A per-uid hash table would take about
+   40 bytes per uid here. *)
+let test_seen_set_footprint () =
+  let n_clients = 4 and per_client = 1_000 in
+  let n = n_clients * per_client in
+  let w = make_world ~n_groups:1 ~n_replicas:3 ~n_clients () in
+  submit_all w
+    (List.concat
+       (List.init n_clients (fun c ->
+            List.init per_client (fun k -> (c, [ 0 ], Printf.sprintf "c%d-%d" c k)))));
+  Engine.run_until w.eng (Time_ns.ms 200);
+  for idx = 0 to 2 do
+    check_int (Printf.sprintf "replica %d delivered all" idx) n
+      (Ramcast.delivered_count w.sys ~gid:0 ~idx);
+    let bytes = Ramcast.seen_bytes w.sys ~gid:0 ~idx in
+    if bytes > (n / 8) + 64 then
+      Alcotest.failf "replica %d's seen set takes %d bytes after %d uids (max %d)" idx
+        bytes n
+        ((n / 8) + 64)
+  done
+
 (* {1 Replication writes} *)
 
 let test_lone_entry_no_batch_header () =
@@ -600,7 +659,9 @@ let suite =
         tc "leader failover multi-group" test_leader_failover_multi_group;
         tc "leader failover, batch in flight" test_leader_failover_batch_in_flight;
         tc "restart, commit in flight" test_restart_with_commit_in_flight;
+        tc "late submit of a reclaimed uid" test_late_submit_after_reclaim;
       ] );
+    ("multicast.memory", [ tc "seen set: one bit per uid" test_seen_set_footprint ]);
     ( "multicast.writes",
       [
         tc "lone entry, no batch header" test_lone_entry_no_batch_header;
